@@ -24,7 +24,7 @@ from .errors import (
 )
 from .graph import Model
 from .tensor import Tensor, as_array
-from .train import auc as _auc
+from .train import auc as _auc, predict
 
 DATASET_MAGIC = b"TSDLD1\x00"
 
@@ -202,15 +202,9 @@ def anomaly_harness(model: Model, windows: SeriesDataset, true_labels, top_k: in
     y = as_array(true_labels).ravel().astype(int)
     if y.shape[0] != n:
         raise ShapeError("true_labels must align with the windows")
-    xs = windows.inputs.array
     ts = windows.targets.array
-    scores = np.empty(n)
-    k_in = len(model.input_names)
-    for start in range(0, n, 256):
-        sel = slice(start, min(start + 256, n))
-        batch = xs[sel]
-        pred = model.forward(batch if k_in == 1 else [batch] * k_in, train=False)
-        scores[sel] = np.abs(pred.array - ts[sel]).mean(axis=tuple(range(1, ts.ndim)))
+    pred = predict(model, windows.inputs.array, batch_size=256)
+    scores = np.abs(pred - ts).mean(axis=tuple(range(1, ts.ndim)))
     ranked = np.lexsort((np.arange(n), -scores))
     predicted = np.zeros(n, dtype=int)
     predicted[ranked[:top_k]] = 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import io
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -18,16 +17,10 @@ import numpy as np
 from .container import read_records, write_records
 from .errors import FormatError, GraphError, ShapeError, StateError
 from .layers.base import Layer
+from .layers.subgraph import NodeSpec, backward_nodes, forward_nodes, manifest
 from .tensor import Tensor, as_array
 
 WEIGHTS_MAGIC = b"TSDLW1\x00"
-
-
-@dataclass
-class NodeSpec:
-    name: str
-    layer: Layer
-    inputs: list[str] = field(default_factory=list)
 
 
 class Model:
@@ -50,18 +43,10 @@ class Model:
         return self.node_shapes[self.output]
 
     def parameters(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name in self.order:
-            for pname, p in self.nodes[name].layer.params.items():
-                out[f"{name}/{pname}"] = p
-        return out
+        return manifest(self.order, self.nodes, "params", "{}/{}".format)
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name in self.order:
-            for bname, b in self.nodes[name].layer.buffers.items():
-                out[f"{name}/{bname}"] = b
-        return out
+        return manifest(self.order, self.nodes, "buffers", "{}/{}".format)
 
     def state(self) -> dict[str, np.ndarray]:
         """Parameters followed by buffers, in stable order."""
@@ -104,15 +89,8 @@ class Model:
     def forward(self, x, train: bool = False) -> Tensor:
         """Evaluate the graph.  In training mode, caches for backward are kept."""
         values = self._coerce_inputs(x)
-        caches: dict[str, dict] = {}
-        for name in self.order:
-            node = self.nodes[name]
-            xs = [values[i] for i in node.inputs]
-            cache: Optional[dict] = {} if train else None
-            arg = xs if node.layer.n_inputs > 1 else xs[0]
-            values[name] = node.layer.forward(arg, train, cache)
-            if train:
-                caches[name] = cache
+        caches: Optional[dict] = {} if train else None
+        forward_nodes(self.order, self.nodes, values, train, caches)
         out = values[self.output]
         if train:
             self._ctx = {"caches": caches, "batch": out.shape[0]}
@@ -128,27 +106,8 @@ class Model:
         if self._ctx is None:
             raise StateError("backward requires a prior training-mode forward")
         ctx, self._ctx = self._ctx, None
-        caches = ctx["caches"]
         upstream: dict[str, np.ndarray] = {self.output: as_array(loss_grad)}
-        grads: dict[str, np.ndarray] = {}
-        for name in reversed(self.order):
-            node = self.nodes[name]
-            up = upstream.pop(name, None)
-            if up is None:
-                # node feeds nothing on the path to the output
-                for pname, p in node.layer.params.items():
-                    grads[f"{name}/{pname}"] = np.zeros_like(p)
-                continue
-            in_grads, pgrads = node.layer.backward(up, caches[name])
-            for pname, p in node.layer.params.items():
-                grads[f"{name}/{pname}"] = pgrads.get(pname, np.zeros_like(p))
-            if node.layer.n_inputs == 1:
-                in_grads = [in_grads]
-            for src, g in zip(node.inputs, in_grads):
-                if src in upstream:
-                    upstream[src] = upstream[src] + g
-                else:
-                    upstream[src] = g
+        grads = backward_nodes(self.order, self.nodes, ctx["caches"], upstream, "{}/{}".format)
         self.last_input_grads = {
             name: upstream.get(name, np.zeros((ctx["batch"], *self.input_shapes[name])))
             for name in self.input_names

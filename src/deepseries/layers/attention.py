@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError, ShapeError
+from ..errors import ParameterError
 from .base import Layer, fan_uniform, sigmoid
-from .core import BatchNorm1D, Conv1D, Pool1D
+from .core import (ActivationLayer, Add, BatchNorm1D, ChannelMean, Conv1D, Multiply, PadTime,
+                   Pool1D, Upsample1D)
+from .subgraph import NodeSpec, Subgraph
 
 __all__ = ["SEBlock", "RTABlock", "SpatialTemporalAttention", "TanhAttention"]
 
@@ -32,9 +34,7 @@ class SEBlock(Layer):
         return {"ratio": self.ratio}
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1 or len(in_shapes[0]) != 2:
-            raise ShapeError(f"se_block expects one [time, channels] input, got {in_shapes}")
-        return in_shapes[0]
+        return self._series(in_shapes)
 
     def _build(self, in_shapes, rng):
         ch = in_shapes[0][1]
@@ -70,24 +70,24 @@ class SEBlock(Layer):
         return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
-class RTABlock(Layer):
+class RTABlock(Subgraph):
     """Residual block with a temporal attention gate.
 
     Trunk: two conv-batchnorm-relu stages at full resolution (same padding).
     Attention: max pool, conv-batchnorm, nearest-neighbour upsample by the
-    pool window, zero pad/crop back to the trunk length, sigmoid.  The gate
+    pool window, zero pad back to the trunk length, sigmoid.  The gate
     feeds ``trunk * (1 + gate)`` and a residual shortcut (1x1 conv when the
     channel count changes) is added:
 
         out = trunk * (1 + gate) + shortcut(x)
+
+    The nodes compute it as ``trunk + trunk * gate + shortcut(x)``.
     """
 
     kind = "rta_block"
 
     def __init__(self, filters: int, kernel: int = 3, pool_window: int = 2):
         super().__init__()
-        if filters < 1 or kernel < 1 or pool_window < 1:
-            raise ParameterError("filters, kernel and pool_window must be >= 1")
         self.filters = int(filters)
         self.kernel = int(kernel)
         self.pool_window = int(pool_window)
@@ -98,211 +98,65 @@ class RTABlock(Layer):
         self.pool = Pool1D(pool_window, pool_window, "max")
         self.conv_a = Conv1D(filters, kernel, padding="same")
         self.bn_a = BatchNorm1D()
-        self.conv_s: Conv1D | None = None
 
     def hyper(self):
         return {"filters": self.filters, "kernel": self.kernel,
                 "pool_window": self.pool_window}
 
-    def out_shape(self, in_shapes):
-        if len(in_shapes) != 1 or len(in_shapes[0]) != 2:
-            raise ShapeError(f"rta_block expects one [time, channels] input, got {in_shapes}")
-        t, _ = in_shapes[0]
-        if t < self.pool_window:
-            raise ShapeError(f"time {t} shorter than pool window {self.pool_window}")
-        return (t, self.filters)
+    @property
+    def conv_s(self) -> Conv1D | None:
+        short = self.nodes.get("short")
+        return None if short is None else short.layer
 
-    def _build(self, in_shapes, rng):
-        t, ch = in_shapes[0]
-        f = self.filters
-        self.conv1.bind((t, ch), rng)
-        self.bn1.bind((t, f), rng)
-        self.conv2.bind((t, f), rng)
-        self.bn2.bind((t, f), rng)
-        t_p = self.pool.out_shape([(t, ch)])[0]
-        self.conv_a.bind((t_p, ch), rng)
-        self.bn_a.bind((t_p, f), rng)
-        if ch != f:
-            self.conv_s = Conv1D(f, 1)
-            self.conv_s.bind((t, ch), rng)
-        for prefix, sub in self._subs():
-            for name, p in sub.params.items():
-                self.params[f"{prefix}_{name}"] = p
-            for name, bf in sub.buffers.items():
-                self.buffers[f"{prefix}_{name}"] = bf
-
-    def _subs(self):
-        subs = [("trunk1", self.conv1), ("trunk1_bn", self.bn1),
-                ("trunk2", self.conv2), ("trunk2_bn", self.bn2),
-                ("att", self.conv_a), ("att_bn", self.bn_a)]
-        if self.conv_s is not None:
-            subs.append(("short", self.conv_s))
-        return subs
-
-    def forward(self, x, train=False, cache=None):
-        w = self.pool_window
-        t_in = x.shape[1]
-        sub = {k: {} for k in ("c1", "b1", "c2", "b2", "p", "ca", "ba", "cs")} \
-            if cache is not None else {}
-
-        def ctx(key):
-            return sub.get(key) if cache is not None else None
-
-        c1 = self.conv1.forward(x, train, ctx("c1"))
-        b1 = self.bn1.forward(c1, train, ctx("b1"))
-        r1 = np.maximum(b1, 0.0)
-        c2 = self.conv2.forward(r1, train, ctx("c2"))
-        b2 = self.bn2.forward(c2, train, ctx("b2"))
-        trunk = np.maximum(b2, 0.0)
-
-        p = self.pool.forward(x, train, ctx("p"))
-        ca = self.conv_a.forward(p, train, ctx("ca"))
-        ba = self.bn_a.forward(ca, train, ctx("ba"))
-        up = np.repeat(ba, w, axis=1)
-        t_up = up.shape[1]
-        if t_up >= t_in:
-            pre = up[:, :t_in]
-        else:
-            pre = np.pad(up, ((0, 0), (0, t_in - t_up), (0, 0)))
-        gate = sigmoid(pre)
-
-        short = x if self.conv_s is None else self.conv_s.forward(x, train, ctx("cs"))
-        out = trunk * (1.0 + gate) + short
-        if cache is not None:
-            cache.update(sub=sub, mask1=b1 > 0.0, mask2=b2 > 0.0, gate=gate,
-                         trunk=trunk, t_up=t_up)
-        return out
-
-    def backward(self, upstream, cache):
-        w = self.pool_window
-        sub = cache["sub"]
-        gate, trunk = cache["gate"], cache["trunk"]
-        t_in = upstream.shape[1]
-        grads = {}
-
-        def take(prefix, g):
-            for name, val in g.items():
-                grads[f"{prefix}_{name}"] = val
-
-        dtrunk = upstream * (1.0 + gate)
-        dgate = upstream * trunk
-        dshort = upstream
-
-        # attention branch
-        dpre = dgate * gate * (1.0 - gate)
-        t_up = cache["t_up"]
-        if t_up >= t_in:
-            dup = np.zeros((dpre.shape[0], t_up, dpre.shape[2]))
-            dup[:, :t_in] = dpre
-        else:
-            dup = dpre[:, :t_up]
-        b, _, f = dup.shape
-        dba = dup.reshape(b, t_up // w, w, f).sum(axis=2)
-        dca, g_bna = self.bn_a.backward(dba, sub["ba"])
-        take("att_bn", g_bna)
-        dp, g_ca = self.conv_a.backward(dca, sub["ca"])
-        take("att", g_ca)
-        dx_att, _ = self.pool.backward(dp, sub["p"])
-
-        # trunk branch
-        db2 = dtrunk * cache["mask2"]
-        dc2, g_bn2 = self.bn2.backward(db2, sub["b2"])
-        take("trunk2_bn", g_bn2)
-        dr1, g_c2 = self.conv2.backward(dc2, sub["c2"])
-        take("trunk2", g_c2)
-        db1 = dr1 * cache["mask1"]
-        dc1, g_bn1 = self.bn1.backward(db1, sub["b1"])
-        take("trunk1_bn", g_bn1)
-        dx_trunk, g_c1 = self.conv1.backward(dc1, sub["c1"])
-        take("trunk1", g_c1)
-
-        # shortcut
-        if self.conv_s is None:
-            dx_short = dshort
-        else:
-            dx_short, g_cs = self.conv_s.backward(dshort, sub["cs"])
-            take("short", g_cs)
-
-        return dx_trunk + dx_att + dx_short, grads
+    def _nodes(self, in_shape):
+        t, ch = in_shape
+        nodes = [
+            NodeSpec("trunk1", self.conv1, ["x"]),
+            NodeSpec("trunk1_bn", self.bn1, ["trunk1"]),
+            NodeSpec("trunk1_relu", ActivationLayer("relu"), ["trunk1_bn"]),
+            NodeSpec("trunk2", self.conv2, ["trunk1_relu"]),
+            NodeSpec("trunk2_bn", self.bn2, ["trunk2"]),
+            NodeSpec("trunk", ActivationLayer("relu"), ["trunk2_bn"]),
+            NodeSpec("pool", self.pool, ["x"]),
+            NodeSpec("att", self.conv_a, ["pool"]),
+            NodeSpec("att_bn", self.bn_a, ["att"]),
+            NodeSpec("att_up", Upsample1D(self.pool_window), ["att_bn"]),
+            NodeSpec("att_pad", PadTime(t), ["att_up"]),
+            NodeSpec("gate", ActivationLayer("sigmoid"), ["att_pad"]),
+            NodeSpec("gated", Multiply(), ["trunk", "gate"]),
+        ]
+        shortcut = "x"
+        if ch != self.filters:
+            nodes.append(NodeSpec("short", Conv1D(self.filters, 1), ["x"]))
+            shortcut = "short"
+        return nodes + [NodeSpec("out", Add(3), ["trunk", "gated", shortcut])]
 
 
-class SpatialTemporalAttention(Layer):
+class SpatialTemporalAttention(Subgraph):
     """Sequential channel then time gating.
 
-    Channel gate: global average over time, a bottleneck dense pair, sigmoid,
-    broadcast over time.  Time gate: channel mean of the gated map, a
-    same-padded 1-D conv (one filter), sigmoid, broadcast over channels.
-    With all-zero parameters both gates are 0.5, so the block returns x/4.
+    Channel gate: an :class:`SEBlock` (global average over time, a
+    bottleneck dense pair, sigmoid, broadcast over time).  Time gate: channel
+    mean of the gated map, a same-padded 1-D conv (one filter, parameters
+    ``t_w``/``t_b``), sigmoid, broadcast over channels.  With all-zero
+    parameters both gates are 0.5, so the block returns x/4.
     """
 
     kind = "st_attention"
 
     def __init__(self, ratio: int = 8, kernel: int = 7):
-        super().__init__()
-        if ratio < 1 or kernel < 1:
-            raise ParameterError("ratio and kernel must be >= 1")
+        super().__init__([
+            NodeSpec("", SEBlock(ratio), ["x"]),
+            NodeSpec("mean", ChannelMean(), [""]),
+            NodeSpec("t", Conv1D(1, kernel, padding="same"), ["mean"]),
+            NodeSpec("gate", ActivationLayer("sigmoid"), ["t"]),
+            NodeSpec("out", Multiply(), ["", "gate"]),
+        ])
         self.ratio = int(ratio)
         self.kernel = int(kernel)
-        self.conv_t = Conv1D(1, kernel, padding="same")
 
     def hyper(self):
         return {"ratio": self.ratio, "kernel": self.kernel}
-
-    def out_shape(self, in_shapes):
-        if len(in_shapes) != 1 or len(in_shapes[0]) != 2:
-            raise ShapeError(
-                f"st_attention expects one [time, channels] input, got {in_shapes}"
-            )
-        return in_shapes[0]
-
-    def _build(self, in_shapes, rng):
-        t, ch = in_shapes[0]
-        red = max(1, ch // self.ratio)
-        self.params["w1"] = fan_uniform(rng, (ch, red), ch, red)
-        self.params["b1"] = np.zeros(red)
-        self.params["w2"] = fan_uniform(rng, (red, ch), red, ch)
-        self.params["b2"] = np.zeros(ch)
-        self.conv_t.bind((t, 1), rng)
-        for name, p in self.conv_t.params.items():
-            self.params[f"t_{name}"] = p
-
-    def forward(self, x, train=False, cache=None):
-        s = x.mean(axis=1)
-        h_pre = s @ self.params["w1"] + self.params["b1"]
-        h = np.maximum(h_pre, 0.0)
-        gs = sigmoid(h @ self.params["w2"] + self.params["b2"])
-        y1 = x * gs[:, None, :]
-        m = y1.mean(axis=2, keepdims=True)
-        tcache = {} if cache is not None else None
-        pre = self.conv_t.forward(m, train, tcache)
-        gt = sigmoid(pre)
-        if cache is not None:
-            cache.update(x=x, s=s, h_pre=h_pre, h=h, gs=gs, y1=y1, gt=gt,
-                         tcache=tcache)
-        return y1 * gt
-
-    def backward(self, upstream, cache):
-        x, s, h_pre, h = cache["x"], cache["s"], cache["h_pre"], cache["h"]
-        gs, y1, gt = cache["gs"], cache["y1"], cache["gt"]
-        t, ch = x.shape[1], x.shape[2]
-        dy1 = upstream * gt
-        dgt = (upstream * y1).sum(axis=2, keepdims=True)
-        dpre = dgt * gt * (1.0 - gt)
-        dm, g_conv = self.conv_t.backward(dpre, cache["tcache"])
-        dy1 += dm / ch
-        dgs = (dy1 * x).sum(axis=1)
-        dx = dy1 * gs[:, None, :]
-        dgs_pre = dgs * gs * (1.0 - gs)
-        dw2 = h.T @ dgs_pre
-        db2 = dgs_pre.sum(axis=0)
-        dh = dgs_pre @ self.params["w2"].T
-        dh_pre = dh * (h_pre > 0.0)
-        dw1 = s.T @ dh_pre
-        db1 = dh_pre.sum(axis=0)
-        dx += (dh_pre @ self.params["w1"].T)[:, None, :] / t
-        grads = {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
-        grads.update({f"t_{k}": v for k, v in g_conv.items()})
-        return dx, grads
 
 
 class TanhAttention(Layer):
@@ -325,11 +179,7 @@ class TanhAttention(Layer):
         return {"att_units": self.att_units}
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1 or len(in_shapes[0]) != 2:
-            raise ShapeError(
-                f"tanh_attention expects one [time, channels] input, got {in_shapes}"
-            )
-        return (in_shapes[0][1],)
+        return (self._series(in_shapes)[1],)
 
     def _build(self, in_shapes, rng):
         ch, a = in_shapes[0][1], self.att_units

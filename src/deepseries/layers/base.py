@@ -115,6 +115,12 @@ class Layer:
     def out_shape(self, in_shapes: list[tuple[int, ...]]) -> tuple[int, ...]:
         raise NotImplementedError
 
+    def _series(self, in_shapes) -> tuple[int, ...]:
+        """The one ``[time, channels]`` input shape; ShapeError otherwise."""
+        if len(in_shapes) != 1 or len(in_shapes[0]) != 2:
+            raise ShapeError(f"{self.kind} expects one [time, channels] input, got {in_shapes}")
+        return in_shapes[0]
+
     def _build(self, in_shapes: list[tuple[int, ...]], rng: np.random.Generator):
         pass
 

@@ -65,9 +65,7 @@ class Conv1D(Layer):
         return before, total - before, t_out
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1 or len(in_shapes[0]) != 2:
-            raise ShapeError(f"conv1d expects one [time, channels] input, got {in_shapes}")
-        time, _ch = in_shapes[0]
+        time, _ = self._series(in_shapes)
         _, _, t_out = self._pad_amounts(time)
         return (t_out, self.filters)
 
@@ -132,9 +130,7 @@ class Pool1D(Layer):
         return {"op": self.op, "window": self.window, "stride": self.stride}
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1 or len(in_shapes[0]) != 2:
-            raise ShapeError(f"pool1d expects one [time, channels] input, got {in_shapes}")
-        time, ch = in_shapes[0]
+        time, ch = self._series(in_shapes)
         if self.op == "global_avg":
             return (ch,)
         if time < self.window:
@@ -512,9 +508,7 @@ class Upsample1D(Layer):
         return {"factor": self.factor}
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1 or len(in_shapes[0]) != 2:
-            raise ShapeError(f"upsample expects one [time, channels] input, got {in_shapes}")
-        t, c = in_shapes[0]
+        t, c = self._series(in_shapes)
         return (t * self.factor, c)
 
     def forward(self, x, train=False, cache=None):
@@ -524,3 +518,91 @@ class Upsample1D(Layer):
         b, tf, c = upstream.shape
         t = tf // self.factor
         return upstream.reshape(b, t, self.factor, c).sum(axis=2), {}
+
+
+class Multiply(Layer):
+    """Elementwise product of two inputs; a size-1 per-sample axis broadcasts."""
+
+    kind = "multiply"
+    n_inputs = 2
+
+    def out_shape(self, in_shapes):
+        if len(in_shapes) != 2 or len(in_shapes[0]) != len(in_shapes[1]) \
+                or any(p != q and 1 not in (p, q) for p, q in zip(*in_shapes)):
+            raise ShapeError(f"multiply expects two inputs that broadcast, got {in_shapes}")
+        return tuple(max(p, q) for p, q in zip(*in_shapes))
+
+    def forward(self, xs, train=False, cache=None):
+        a, b = xs
+        if cache is not None:
+            cache.update(a=a, b=b)
+        return a * b
+
+    def backward(self, upstream, cache):
+        a, b = cache["a"], cache["b"]
+        return [_unbroadcast(upstream * b, a.shape), _unbroadcast(upstream * a, b.shape)], {}
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` over the axes where ``shape`` was broadcast from size 1."""
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+class ChannelMean(Layer):
+    """Mean over channels, kept as one channel: ``[time, channels] -> [time, 1]``."""
+
+    kind = "channel_mean"
+
+    def out_shape(self, in_shapes):
+        return (self._series(in_shapes)[0], 1)
+
+    def forward(self, x, train=False, cache=None):
+        if cache is not None:
+            cache.update(channels=x.shape[2])
+        return x.mean(axis=2, keepdims=True)
+
+    def backward(self, upstream, cache):
+        c = cache["channels"]
+        return np.repeat(upstream / c, c, axis=2), {}
+
+
+class PadTime(Layer):
+    """Zero-pad the end of the time axis up to a fixed length."""
+
+    kind = "pad_time"
+
+    def __init__(self, length: int):
+        super().__init__()
+        if length < 1:
+            raise ParameterError("pad length must be >= 1")
+        self.length = int(length)
+
+    def out_shape(self, in_shapes):
+        t, c = self._series(in_shapes)
+        if t > self.length:
+            raise ShapeError(f"time {t} longer than pad length {self.length}")
+        return (self.length, c)
+
+    def forward(self, x, train=False, cache=None):
+        if cache is not None:
+            cache.update(time=x.shape[1])
+        return np.pad(x, ((0, 0), (0, self.length - x.shape[1]), (0, 0)))
+
+    def backward(self, upstream, cache):
+        return upstream[:, : cache["time"]], {}
+
+
+class ReverseTime(Layer):
+    """Reverse the time axis."""
+
+    kind = "reverse_time"
+
+    def out_shape(self, in_shapes):
+        return self._series(in_shapes)
+
+    def forward(self, x, train=False, cache=None):
+        return np.ascontiguousarray(x[:, ::-1])
+
+    def backward(self, upstream, cache):
+        return upstream[:, ::-1], {}

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError, ShapeError
+from ..errors import ParameterError
 from .base import Layer, recurrent_uniform, sigmoid
+from .core import Concat, ReverseTime
+from .subgraph import NodeSpec, Subgraph
 
 
 class _Recurrent(Layer):
@@ -26,9 +28,7 @@ class _Recurrent(Layer):
         return {"units": self.units, "return_sequences": self.return_sequences}
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1 or len(in_shapes[0]) != 2:
-            raise ShapeError(f"{self.kind} expects one [time, channels] input, got {in_shapes}")
-        t, _ = in_shapes[0]
+        t, _ = self._series(in_shapes)
         return (t, self.units) if self.return_sequences else (self.units,)
 
     def _spread(self, upstream, batch, time):
@@ -203,7 +203,7 @@ class GRU(_Recurrent):
         return dx, {"wx": dwx, "wh": dwh, "b": db}
 
 
-class Bidirectional(Layer):
+class Bidirectional(Subgraph):
     """Run a recurrent layer over both time directions and concatenate channels.
 
     The two directions hold independent parameters (``fwd_``/``bwd_``
@@ -212,51 +212,18 @@ class Bidirectional(Layer):
     """
 
     def __init__(self, inner: _Recurrent):
-        super().__init__()
         if not isinstance(inner, _Recurrent):
             raise ParameterError("bidirectional wraps an LSTM or GRU layer")
-        cls = type(inner)
         self.fwd = inner
-        self.bwd = cls(inner.units, inner.return_sequences)
+        self.bwd = type(inner)(inner.units, inner.return_sequences)
+        nodes = [NodeSpec("fwd", self.fwd, ["x"]),
+                 NodeSpec("rev", ReverseTime(), ["x"]),
+                 NodeSpec("bwd", self.bwd, ["rev"])]
+        if inner.return_sequences:
+            nodes.append(NodeSpec("bwd_rev", ReverseTime(), ["bwd"]))
+        nodes.append(NodeSpec("cat", Concat(2), ["fwd", nodes[-1].name]))
+        super().__init__(nodes)
         self.kind = "bilstm" if isinstance(inner, LSTM) else "bigru"
-        self.units = inner.units
-        self.return_sequences = inner.return_sequences
 
     def hyper(self):
-        return {"units": self.units, "return_sequences": self.return_sequences}
-
-    def out_shape(self, in_shapes):
-        inner = self.fwd.out_shape(in_shapes)
-        return inner[:-1] + (2 * inner[-1],)
-
-    def _build(self, in_shapes, rng):
-        self.fwd.bind(in_shapes, rng)
-        self.bwd.bind(in_shapes, rng)
-        for name, p in self.fwd.params.items():
-            self.params[f"fwd_{name}"] = p
-        for name, p in self.bwd.params.items():
-            self.params[f"bwd_{name}"] = p
-
-    def forward(self, x, train=False, cache=None):
-        fc = {} if cache is not None else None
-        bc = {} if cache is not None else None
-        yf = self.fwd.forward(x, train, fc)
-        yb = self.bwd.forward(np.ascontiguousarray(x[:, ::-1]), train, bc)
-        if self.return_sequences:
-            yb = yb[:, ::-1]
-        if cache is not None:
-            cache.update(fc=fc, bc=bc)
-        return np.concatenate([yf, yb], axis=-1)
-
-    def backward(self, upstream, cache):
-        u = self.units
-        uf = upstream[..., :u]
-        ub = upstream[..., u:]
-        if self.return_sequences:
-            ub = np.ascontiguousarray(ub[:, ::-1])
-        dxf, gf = self.fwd.backward(np.ascontiguousarray(uf), cache["fc"])
-        dxb, gb = self.bwd.backward(ub, cache["bc"])
-        dx = dxf + dxb[:, ::-1]
-        grads = {f"fwd_{k}": v for k, v in gf.items()}
-        grads.update({f"bwd_{k}": v for k, v in gb.items()})
-        return dx, grads
+        return self.fwd.hyper()

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import (
     ContractError,
+    DataError,
     MetricUndefinedError,
     ParameterError,
     ShapeError,
@@ -185,12 +186,19 @@ def _dataset_loss(model: Model, kind: str, inputs, targets, batch_size: int) -> 
 
 
 def predict(model: Model, inputs, batch_size: int = 256) -> np.ndarray:
-    """Evaluation-mode forward over a whole input array, batched."""
+    """Evaluation-mode forward over a whole input array, batched.
+
+    Zero rows of the right per-sample shape give an empty
+    ``[0, *output_shape]`` array.
+    """
     xs = as_array(inputs)
     outs = [
         np.asarray(model.forward(_model_inputs(model, xs[sel]), train=False).array)
         for sel in _batches(xs.shape[0], batch_size)
     ]
+    if not outs:  # nothing to run; still reject a wrong per-sample shape
+        model._coerce_inputs(_model_inputs(model, xs))
+        return np.empty((0, *model.output_shape))
     return np.concatenate(outs, axis=0)
 
 
@@ -201,12 +209,16 @@ def fit(model: Model, train_set, val_set, config: TrainConfig,
     Shuffles pairs each epoch (the final partial batch is kept), monitors the
     validation loss, and restores the best-epoch parameters and buffers on
     return.  A non-finite training loss raises TrainingDivergedError with the
-    0-based epoch index.
+    0-based epoch index.  An empty training or validation set raises
+    DataError before the first epoch.
     """
     if config.batch_size < 1 or config.max_epochs < 1:
         raise ParameterError("batch_size and max_epochs must be >= 1")
     xs, ys = as_array(train_set.inputs), as_array(train_set.targets)
     vx, vy = as_array(val_set.inputs), as_array(val_set.targets)
+    if xs.shape[0] == 0 or vx.shape[0] == 0:
+        raise DataError(f"fit needs non-empty sets, got {xs.shape[0]} training "
+                        f"and {vx.shape[0]} validation rows")
     rng = np.random.default_rng(config.seed)
     opt = Adam(model.parameters(), config.lr, config.beta1, config.beta2,
                config.epsilon, frozen=frozen)

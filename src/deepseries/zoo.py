@@ -203,7 +203,7 @@ def _chen_chen(b, inp, h):
 
 
 def _fu_jiangmeng(b, inp, h):
-    cur = _conv_pool_chain(b, inp[0], h)
+    cur = _conv_pool_chain(b, inp[0], h, first_kernel=h.get("first_kernel"))
     return b.add("lstm", LSTM(h["units"]), cur)
 
 
@@ -247,17 +247,6 @@ def _kim_tae_young(b, inp, h):
     cur = b.add("conv1", Conv1D(h["filters"][0], h["kernel"], activation="relu"), inp[0])
     cur = b.add("pool1", Pool1D(h["pool"]), cur)
     cur = b.add("conv2", Conv1D(h["filters"][1], h["kernel"], activation="relu"), cur)
-    return b.add("lstm", LSTM(h["units"]), cur)
-
-
-def _kong_zhengmin(b, inp, h):
-    cur = _conv_pool_chain(b, inp[0], h)
-    cur = b.add("lstm1", LSTM(h["units"], return_sequences=True), cur)
-    return b.add("lstm2", LSTM(h["units"]), cur)
-
-
-def _lih_oh_shu(b, inp, h):
-    cur = _conv_pool_chain(b, inp[0], h, first_kernel=h["first_kernel"])
     return b.add("lstm", LSTM(h["units"]), cur)
 
 
@@ -371,11 +360,6 @@ def _zheng_zhenyu(b, inp, h):
             cur = b.add(f"conv{idx}", Conv1D(f, h["kernel"], activation="relu"), cur)
             cur = b.add(f"bn{idx}", BatchNorm1D(), cur)
         cur = b.add(f"pool{bi + 1}", Pool1D(h["pool"]), cur)
-    return b.add("lstm", LSTM(h["units"]), cur)
-
-
-def _example_model(b, inp, h):
-    cur = _conv_pool_chain(b, inp[0], h)
     return b.add("lstm", LSTM(h["units"]), cur)
 
 
@@ -503,7 +487,7 @@ _register(
     _contract(conv1d=1, pool1d=1, lstm=2),
     _fams(cnn=True, lstm=True),
     {"filters": [16], "kernel": 3, "pool": 2, "units": 64},
-    _kong_zhengmin,
+    _chen_chen,
 )
 _register(
     "LihOhShu",
@@ -512,7 +496,7 @@ _register(
     _fams(cnn=True, lstm=True),
     {"filters": [16, 32, 64, 128, 128], "kernel": 3, "first_kernel": 5,
      "pool": 2, "units": 64},
-    _lih_oh_shu,
+    _fu_jiangmeng,
 )
 _register(
     "OhShuLih",
@@ -597,7 +581,7 @@ _register(
     _contract(conv1d=2, pool1d=2, lstm=1),
     _fams(cnn=True, lstm=True),
     {"filters": [16, 32], "kernel": 3, "pool": 2, "units": 20},
-    _example_model,
+    _fu_jiangmeng,
     citation="worked example",
 )
 

@@ -30,6 +30,8 @@ from deepseries.layers import (
     TanhAttention,
     Upsample1D,
 )
+from deepseries.layers.core import ChannelMean, Multiply, PadTime, ReverseTime
+from deepseries.layers.subgraph import NodeSpec, Subgraph
 from conftest import layer_gradcheck, single_node_model, fd_gradcheck
 
 TOL = 1e-4
@@ -63,6 +65,17 @@ CASES = [
     ("flatten", lambda: Flatten(), (5, 3), {}),
     ("reshape", lambda: Reshape((3, 10)), (5, 6), {}),
     ("upsample", lambda: Upsample1D(3), (5, 2), {}),
+    ("bilstm_sequences", lambda: Bidirectional(LSTM(3, return_sequences=True)),
+     (6, 2), {}),
+    ("bigru_last", lambda: Bidirectional(GRU(3)), (6, 2), {}),
+    ("channel_mean", lambda: ChannelMean(), (6, 3), {}),
+    ("pad_time", lambda: PadTime(9), (6, 2), {}),
+    ("reverse_time", lambda: ReverseTime(), (6, 2), {}),
+    # x * mean_c(x): the [time, 1] operand broadcasts over channels
+    ("multiply_broadcast", lambda: Subgraph([
+        NodeSpec("m", ChannelMean(), ["x"]),
+        NodeSpec("mul", Multiply(), ["x", "m"]),
+    ]), (6, 3), {}),
 ]
 
 
@@ -74,8 +87,9 @@ def test_layer_gradients(name, factory, shape, kw):
 
 
 @pytest.mark.parametrize("n_inputs,factory", [(2, lambda: Add(2)),
-                                              (3, lambda: Concat(3))],
-                         ids=["add", "concat"])
+                                              (3, lambda: Concat(3)),
+                                              (2, lambda: Multiply())],
+                         ids=["add", "concat", "multiply"])
 def test_multi_input_gradients(n_inputs, factory):
     worst = layer_gradcheck(factory, (6, 2), n_inputs=n_inputs)
     assert worst < TOL

@@ -8,6 +8,7 @@ import pytest
 from deepseries.data import SeriesDataset
 from deepseries.errors import (
     ContractError,
+    DataError,
     MetricUndefinedError,
     ParameterError,
     ShapeError,
@@ -294,6 +295,19 @@ def test_fit_validation():
         fit(dense_model(), train_set, val_set, TrainConfig(max_epochs=0))
 
 
+@pytest.mark.parametrize("empty", ["train", "val"])
+def test_fit_rejects_an_empty_set_before_the_first_epoch(empty):
+    train_set, val_set = make_sets()
+    blank = SeriesDataset(np.zeros((0, 3)), np.zeros((0, 1)))
+    m = dense_model()
+    before = {k: v.copy() for k, v in m.parameters().items()}
+    with pytest.raises(DataError):
+        fit(m, blank if empty == "train" else train_set,
+            blank if empty == "val" else val_set, TrainConfig(max_epochs=2))
+    for name, arr in m.parameters().items():
+        np.testing.assert_array_equal(arr, before[name])
+
+
 def test_history_lines_format():
     h = History(epochs=[{"epoch": 0, "train_loss": 0.5, "val_loss": 1.0 / 3.0}])
     assert h.lines() == ["epoch 0 train_loss 0.5 val_loss 0.3333333333"]
@@ -304,6 +318,13 @@ def test_predict_matches_batched_forward():
     xs = np.random.default_rng(0).normal(size=(10, 3))
     whole = np.asarray(m.forward(xs).array)
     np.testing.assert_array_equal(predict(m, xs, batch_size=3), whole)
+
+
+def test_predict_on_zero_rows_returns_an_empty_output():
+    out = predict(dense_model(), np.zeros((0, 3)))
+    assert out.shape == (0, 1)
+    with pytest.raises(ShapeError):
+        predict(dense_model(), np.zeros((0, 7)))
 
 
 def test_two_phase_autoencoder_fit_moves_then_freezes_encoder():

@@ -293,7 +293,11 @@ def traffic_with_anomalies(features: int, length: int, rate: float, seed: int = 
 
 def load_csv(path: Union[str, io.IOBase], has_header: bool = True,
              columns: Optional[Sequence[Union[str, int]]] = None) -> Tensor:
-    """Read numeric columns from a CSV file into a ``[steps, columns]`` tensor."""
+    """Read numeric columns from a CSV file into a ``[steps, columns]`` tensor.
+
+    A selected cell that is not a finite number (``nan`` and ``inf`` included)
+    raises :class:`FormatError` naming its file line.
+    """
     close = False
     if isinstance(path, str):
         fh = open(path, "r", newline="")
@@ -345,6 +349,10 @@ def load_csv(path: Union[str, io.IOBase], has_header: bool = True,
                 raise FormatError(
                     f"line {i + offset}: {row[c]!r} is not a number"
                 ) from None
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        i, j = bad[0]
+        raise FormatError(f"line {i + offset}: {rows[i][idx[j]]!r} is not a finite number")
     return Tensor(data)
 
 

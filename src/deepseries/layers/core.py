@@ -7,6 +7,7 @@ channels]``; vector layers use ``[batch, features]``.  Shape inference in
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -108,8 +109,12 @@ class Conv1D(Layer):
 class Pool1D(Layer):
     """Max, average, or global-average pooling over the time axis.
 
-    ``max`` backward routes each window's gradient to the first maximal
-    position; overlapping windows accumulate.
+    ``max`` compares the window offsets pairwise with ``np.maximum``, so a
+    NaN anywhere in a window gives NaN.  Backward routes each window's
+    gradient to the first maximal position (strict ``>``, so the first of
+    tied maxima wins); with ``stride >= window`` each input belongs to at
+    most one window and the gradient is scattered directly, while
+    overlapping windows accumulate through ``np.add.at``.
     """
 
     kind = "pool1d"
@@ -145,13 +150,19 @@ class Pool1D(Layer):
             return out
         w, s = self.window, self.stride
         t_out = (x.shape[1] - w) // s + 1
-        win = sliding_window_view(x, w, axis=1)[:, ::s][:, :t_out]  # [b,t',c,w]
         if self.op == "max":
-            arg = win.argmax(axis=3)
-            out = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
+            stop = s * (t_out - 1) + 1
+            out = x[:, :stop:s]  # offset j of every window is x[:, j : j + stop : s]
+            arg = None if cache is None else np.zeros(out.shape, np.min_scalar_type(w - 1))
+            for j in range(1, w):
+                cand = x[:, j : j + stop : s]
+                if arg is not None:
+                    arg[cand > out] = j
+                out = np.maximum(out, cand)
             if cache is not None:
                 cache.update(arg=arg, in_shape=x.shape)
             return out
+        win = sliding_window_view(x, w, axis=1)[:, ::s][:, :t_out]  # [b,t',c,w]
         out = win.mean(axis=3)
         if cache is not None:
             cache.update(in_shape=x.shape)
@@ -166,9 +177,12 @@ class Pool1D(Layer):
         b, t_out, c = upstream.shape
         dx = np.zeros(in_shape)
         if self.op == "max":
-            arg = cache["arg"]
-            bi, ti, ci = np.ogrid[:b, :t_out, :c]
-            np.add.at(dx, (bi, ti * s + arg, ci), upstream)
+            at = np.arange(0, s * t_out, s)[:, None] + cache["arg"]  # input time index
+            if s >= w:
+                np.put_along_axis(dx, at, upstream, axis=1)
+            else:
+                bi, _, ci = np.ogrid[:b, :t_out, :c]
+                np.add.at(dx, (bi, at, ci), upstream)
         else:
             share = upstream / w
             for j in range(w):
@@ -385,7 +399,8 @@ class Flatten(Layer):
     def forward(self, x, train=False, cache=None):
         if cache is not None:
             cache.update(in_shape=x.shape)
-        return x.reshape(x.shape[0], -1)
+        # an explicit feature count, since -1 cannot be inferred for 0 rows
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, upstream, cache):
         return upstream.reshape(cache["in_shape"]), {}

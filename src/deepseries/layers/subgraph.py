@@ -94,13 +94,21 @@ class Subgraph(Layer):
         self._specs = list(nodes)
         self.nodes: dict[str, NodeSpec] = {}
         self.order: list[str] = []
+        self._walked = None  # (in_shape, _walk result) of the last successful walk
 
     def _nodes(self, in_shape) -> list[NodeSpec]:
         return self._specs
 
     def _walk(self, in_shape):
-        """The node list with each node's input shapes, and the output shape."""
-        shapes = {INPUT: tuple(in_shape)}
+        """The node list with each node's input shapes, and the output shape.
+
+        Building asks for it three times (``out_shape`` from the graph and
+        from ``bind``, then ``_build``), so the last result is kept.
+        """
+        in_shape = tuple(in_shape)
+        if self._walked is not None and self._walked[0] == in_shape:
+            return self._walked[1]
+        shapes = {INPUT: in_shape}
         steps = []
         for spec in self._nodes(shapes[INPUT]):
             if spec.name in shapes or not spec.inputs or not set(spec.inputs) <= shapes.keys():
@@ -111,7 +119,8 @@ class Subgraph(Layer):
             steps.append((spec, ins))
         if not steps:
             raise GraphError("a subgraph needs at least one node")
-        return steps, shapes[spec.name]
+        self._walked = (in_shape, (steps, shapes[spec.name]))
+        return self._walked[1]
 
     def out_shape(self, in_shapes):
         return self._walk(self._series(in_shapes))[1]

@@ -8,6 +8,7 @@ Hyperparameters have working defaults and can be overridden per build.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -606,12 +607,30 @@ def get_descriptor(name: str) -> ArchitectureDescriptor:
         ) from None
 
 
+def _same_kind(default, val) -> bool:
+    """Whether an override has the type of the registry default (ints pass as floats)."""
+    if isinstance(default, list):
+        return isinstance(val, (list, tuple)) and all(_same_kind(default[0], v) for v in val)
+    if isinstance(default, bool) or isinstance(val, bool):
+        return isinstance(default, bool) and isinstance(val, bool)
+    if isinstance(default, int):
+        return isinstance(val, numbers.Integral)
+    if isinstance(default, float):
+        return isinstance(val, numbers.Real)
+    return isinstance(val, type(default))
+
+
 def _merge_hyper(desc: ArchitectureDescriptor, overrides: dict) -> dict:
     h = dict(desc.default_hyper)
     for key, val in overrides.items():
         if key not in h:
             raise ParameterError(
                 f"{desc.name} has no hyperparameter {key!r}; allowed: {sorted(h)}"
+            )
+        if not _same_kind(h[key], val):
+            raise ParameterError(
+                f"{desc.name} hyperparameter {key!r} takes a value like its default "
+                f"{h[key]!r}, got {val!r}"
             )
         h[key] = val
     return h

@@ -46,6 +46,13 @@ def test_describe_accepts_hyper_overrides(capsys):
     assert "output_shape: (8,)" in out
 
 
+def test_describe_rejects_mistyped_hyper(capsys):
+    code, _, err = run_cli(["describe", "ExampleModel", "--hyper", "filters=abc"], capsys)
+    assert code == 2
+    assert err.startswith("error: ExampleModel hyperparameter 'filters'")
+    assert "Traceback" not in err
+
+
 def test_describe_unknown_model_is_usage_error(capsys):
     code, _, err = run_cli(["describe", "NoSuchNet"], capsys)
     assert code == 2
@@ -311,6 +318,18 @@ def test_data_problems_exit_4(tmp_path, capsys):
         capsys,
     )
     assert code == 4  # far too short to window
+
+
+def test_non_finite_csv_cell_exits_4(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a\n" + "\n".join("1.0" for _ in range(300)) + "\ninf\n")
+    code, _, err = run_cli(
+        ["train", "--task", "forecast", "--model", "ExampleModel",
+         "--csv", str(bad), "--out", str(tmp_path / "x")],
+        capsys,
+    )
+    assert code == 4
+    assert "error: line 302: 'inf' is not a finite number" in err
 
 
 def test_anomaly_with_no_anomalies_exits_4(tmp_path, capsys):

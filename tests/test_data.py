@@ -352,6 +352,19 @@ def test_load_csv_error_reporting():
         load_csv(io.StringIO("a,b\n"))
 
 
+def test_load_csv_rejects_non_finite_cells():
+    with pytest.raises(FormatError, match="line 3: 'nan' is not a finite number"):
+        load_csv(io.StringIO("a,b\n1,2\n1,nan\n"))
+    with pytest.raises(FormatError, match="line 2: '-inf' is not a finite number"):
+        load_csv(io.StringIO("a,b\n-inf,2\n1,inf\n"))
+    # overflows to inf when parsed
+    with pytest.raises(FormatError, match="line 1: '1e400' is not a finite number"):
+        load_csv(io.StringIO("1e400\n"), has_header=False)
+    # a non-finite cell in a column that is not selected is not read
+    np.testing.assert_array_equal(
+        load_csv(io.StringIO("a,b\n1,nan\n"), columns=["a"]).array, [[1.0]])
+
+
 # --------------------------------------------------------------- dataset cache
 
 

@@ -43,6 +43,8 @@ CASES = [
     ("conv_full", lambda: Conv1D(3, 4, padding="full",
                                  activation="leaky_relu"), (8, 2), {}),
     ("pool_max", lambda: Pool1D(2), (10, 3), {}),
+    ("pool_max_overlap", lambda: Pool1D(3, 2), (10, 3), {}),
+    ("pool_max_w3", lambda: Pool1D(3), (10, 3), {}),
     ("pool_avg", lambda: Pool1D(3, 2, op="avg"), (10, 3), {}),
     ("pool_global_avg", lambda: Pool1D(op="global_avg"), (10, 3), {}),
     ("dense_sigmoid", lambda: Dense(5, activation="sigmoid"), (7,), {}),

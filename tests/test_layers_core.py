@@ -4,6 +4,7 @@ expected value below was computed by hand from the printed formulas."""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from deepseries.errors import DegenerateBatchError, ParameterError, ShapeError
 from deepseries.layers import (
@@ -18,6 +19,7 @@ from deepseries.layers import (
     Pool1D,
     Reshape,
     Upsample1D,
+    sigmoid,
 )
 from conftest import single_node_model
 
@@ -136,6 +138,67 @@ def test_pool_max_backward_routes_to_first_tie():
     m.forward(x, train=True)
     m.backward(np.ones((1, 1, 1)))
     np.testing.assert_allclose(m.last_input_grads["x0"].ravel(), [1.0, 0.0])
+
+
+POOL_SHAPES = [(1, 1), (2, 2), (3, 3), (3, 2), (2, 3), (4, 1)]
+
+
+def _max_pool_reference(x, w, s, upstream):
+    """Window argmax (first maximum) for the value, ``np.add.at`` for the gradient."""
+    t_out = (x.shape[1] - w) // s + 1
+    win = sliding_window_view(x, w, axis=1)[:, ::s][:, :t_out]
+    arg = win.argmax(axis=3)
+    out = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
+    dx = np.zeros(x.shape)
+    bi, ti, ci = np.ogrid[: x.shape[0], :t_out, : x.shape[2]]
+    np.add.at(dx, (bi, ti * s + arg, ci), upstream)
+    return out, dx
+
+
+@pytest.mark.parametrize("window,stride", POOL_SHAPES)
+def test_pool_max_matches_argmax_reference(window, stride):
+    rng = np.random.default_rng(window * 10 + stride)
+    for time in (window, window + 1, 11, 12):
+        x = rng.integers(0, 3, size=(3, time, 4)).astype(float)  # many ties
+        layer = Pool1D(window, stride)
+        cache = {}
+        out = layer.forward(x, train=True, cache=cache)
+        up = rng.normal(size=out.shape)
+        ref_out, ref_dx = _max_pool_reference(x, window, stride, up)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(layer.forward(x), ref_out)
+        np.testing.assert_array_equal(layer.backward(up, cache)[0], ref_dx)
+
+
+@pytest.mark.parametrize("window,stride", POOL_SHAPES)
+def test_pool_max_propagates_nan_at_any_offset(window, stride):
+    x0 = np.arange(12.0).reshape(1, 12, 1)
+    layer = Pool1D(window, stride)
+    t_out = (12 - window) // stride + 1
+    for k in range(window):
+        x = x0.copy()
+        x[0, stride + k, 0] = np.nan  # offset k of the second window
+        for train in (False, True):
+            out = layer.forward(x, train=train, cache={} if train else None).ravel()
+            hit = [t for t in range(t_out) if t * stride <= stride + k < t * stride + window]
+            assert np.isnan(out[hit]).all()
+            assert np.isfinite(np.delete(out, hit)).all()
+
+
+def test_sigmoid_is_bounded_and_matches_two_branch_form():
+    def two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    extreme = sigmoid(np.array([-1e3, 1e3]))
+    assert np.isfinite(extreme).all() and (extreme >= 0.0).all() and (extreme <= 1.0).all()
+    np.testing.assert_array_equal(extreme, [0.0, 1.0])
+    grid = np.linspace(-50.0, 50.0, 100001)
+    assert np.abs(sigmoid(grid) - two_branch(grid)).max() <= 2.3e-16
 
 
 def test_pool_rejects_short_input():

@@ -116,6 +116,19 @@ def test_unknown_architecture_and_hyper():
         build_model("ExampleModel", (64, 1), banana=3)
 
 
+def test_hyper_override_types_follow_defaults():
+    for bad in ({"units": 2.5}, {"units": True}, {"filters": 16}, {"filters": [16, "x"]},
+                {"pool": "2"}):
+        with pytest.raises(ParameterError, match="takes a value like its default"):
+            build_model("ExampleModel", (64, 1), **bad)
+    with pytest.raises(ParameterError, match="'attention'.*got 1"):
+        build_model("YaoQihang", (256, 1), attention=1)
+    # numpy integers pass as ints, tuples as lists, ints as floats
+    assert build_model("ExampleModel", (64, 1), units=np.int64(8)).output_shape == (8,)
+    build_model("ExampleModel", (64, 1), filters=(8, 8))
+    build_model("KhanZulfiqar", (64, 1), dropout=0)
+
+
 def test_bad_input_shape():
     with pytest.raises(ShapeError, match=r"\[time, channels\]"):
         build_model("ExampleModel", (64,))
@@ -189,6 +202,16 @@ def test_classify_head_shape_and_softmax():
     out = np.asarray(m.forward(np.random.default_rng(0).normal(size=(4, 100, 1))).array)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
     assert (out > 0).all()
+
+
+@pytest.mark.parametrize("kind,head", [("forecast", {"horizon": 10, "features": 2}),
+                                       ("classify", {"classes": 3})])
+@pytest.mark.parametrize("name", zoo.names())
+def test_zero_row_forward_keeps_output_shape(name, kind, head):
+    m = build_model(name, (256, 2), top=make_top(kind, **head))
+    x = np.zeros((0, 256, 2))
+    out = m.forward(x if len(m.input_names) == 1 else {k: x for k in m.input_names})
+    assert out.shape == (0, *m.output_shape)
 
 
 def test_anomaly_head_shape():

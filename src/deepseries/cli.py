@@ -122,12 +122,20 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _parse_synth(spec: str, seed: int):
-    """``name[:key=value,...]`` into (name, options) with the run seed."""
+def _parse_synth(spec: str):
+    """``name[:key=value,...]`` into (name, options)."""
     name, _, rest = spec.partition(":")
-    opts = _parse_kv_list(rest) if rest else {}
-    opts.setdefault("seed", seed)
-    return name.strip(), opts
+    return name.strip(), _parse_kv_list(rest) if rest else {}
+
+
+def _synth_option(opts: dict, key: str, default):
+    """Pop one synth option; it must be a value like its default (ints pass as floats)."""
+    val = opts.pop(key, default)
+    if not zoo._same_kind(default, val):
+        raise ParameterError(f"synth option {key!r} takes a value like {default!r}, got {val!r}")
+    if isinstance(default, int) and val < 0:  # counts, lengths and seeds
+        raise ParameterError(f"synth option {key!r} must be >= 0, got {val}")
+    return type(default)(val)
 
 
 class _Run:
@@ -196,16 +204,18 @@ def _forecast_sets(run: _Run):
         if "smooth_window" not in run.explicit:
             smooth_window = int(c["csv_smooth_window"])
     else:
-        name, opts = _parse_synth(c["synth"], int(c["seed"]))
+        name, opts = _parse_synth(c["synth"])
         if name != "sine":
             raise ParameterError(f"forecast preset expects synth 'sine', got {name!r}")
-        period = float(opts.pop("period", 40.0))
+        period = _synth_option(opts, "period", 40.0)
+        if not period > 0.0:
+            raise ParameterError(f"sine period must be > 0, got {period}")
         series = data.sine_mix(
             freqs=[1.0 / period],
-            noise=float(opts.pop("noise", 0.0)),
-            length=int(opts.pop("length", 2000)),
-            seed=int(opts.pop("seed")),
-            offset=float(opts.pop("offset", 2.0)),
+            noise=_synth_option(opts, "noise", 0.0),
+            length=_synth_option(opts, "length", 2000),
+            seed=_synth_option(opts, "seed", int(c["seed"])),
+            offset=_synth_option(opts, "offset", 2.0),
         )
         if opts:
             raise ParameterError(f"unknown sine options {sorted(opts)}")
@@ -242,14 +252,15 @@ def _classify_sets(run: _Run):
         onehot = np.eye(classes)[labels]
         ds = data.SeriesDataset(segs, onehot)
     else:
-        name, opts = _parse_synth(c["synth"], int(c["seed"]))
+        name, opts = _parse_synth(c["synth"])
         if name != "segments":
             raise ParameterError(f"classify preset expects synth 'segments', got {name!r}")
-        classes = int(opts.pop("classes", 5))
-        length = int(opts.pop("length", int(c["window"])))
+        classes = _synth_option(opts, "classes", 5)
+        length = _synth_option(opts, "length", int(c["window"]))
         ds = data.labeled_segments(
-            classes, length, int(opts.pop("count", 60)),
-            seed=int(opts.pop("seed")), noise=float(opts.pop("noise", 0.05)),
+            classes, length, _synth_option(opts, "count", 60),
+            seed=_synth_option(opts, "seed", int(c["seed"])),
+            noise=_synth_option(opts, "noise", 0.05),
         )
         if opts:
             raise ParameterError(f"unknown segments options {sorted(opts)}")
@@ -271,12 +282,13 @@ def _anomaly_sets(run: _Run):
             raise DataError("anomaly CSV needs feature columns plus a final 0/1 label column")
         series, labels = raw[:, :-1], raw[:, -1]
     else:
-        name, opts = _parse_synth(c["synth"], int(c["seed"]))
+        name, opts = _parse_synth(c["synth"])
         if name != "traffic":
             raise ParameterError(f"anomaly preset expects synth 'traffic', got {name!r}")
         series, labels = data.traffic_with_anomalies(
-            int(opts.pop("features", 3)), int(opts.pop("length", 2000)),
-            float(opts.pop("rate", 0.02)), seed=int(opts.pop("seed")),
+            _synth_option(opts, "features", 3), _synth_option(opts, "length", 2000),
+            _synth_option(opts, "rate", 0.02),
+            seed=_synth_option(opts, "seed", int(c["seed"])),
         )
         series = np.asarray(series.array)
         labels = np.asarray(labels.array)
@@ -352,7 +364,7 @@ def cmd_describe(args) -> int:
         print(f"{fam}: {count}")
     for fam, present in report["presence"].items():
         print(f"has_{fam}: {str(present).lower()}")
-    for key, val in report["default_hyper"].items():
+    for key, val in report["hyper"].items():
         print(f"hyper.{key}: {val}")
     return EXIT_OK
 

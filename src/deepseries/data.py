@@ -52,9 +52,7 @@ class SeriesDataset:
 
     def take(self, index) -> "SeriesDataset":
         idx = np.asarray(index)
-        return SeriesDataset(
-            Tensor(self.inputs.array[idx]), Tensor(self.targets.array[idx]), self.note
-        )
+        return SeriesDataset(self.inputs.array[idx], self.targets.array[idx], self.note)
 
 
 def _series(x) -> np.ndarray:
@@ -134,7 +132,7 @@ def windowize(series, window: int, horizon: int, stride: int = 1) -> SeriesDatas
     starts = np.arange(0, n - window - horizon + 1, stride)
     inputs = np.stack([a[s : s + window] for s in starts])
     targets = np.stack([a[s + window : s + window + horizon] for s in starts])
-    return SeriesDataset(Tensor(inputs), Tensor(targets), note=f"w{window}h{horizon}")
+    return SeriesDataset(inputs, targets, note=f"w{window}h{horizon}")
 
 
 def pad_or_truncate(segment, length: int) -> Tensor:
@@ -242,6 +240,8 @@ def labeled_segments(classes: int, length: int, count: int, seed: int = 0,
     """
     if classes < 2 or length < 4 or count < 1:
         raise ParameterError("need classes >= 2, length >= 4, count >= 1")
+    if not noise >= 0.0:
+        raise ParameterError(f"noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     t = np.arange(length)
     xs = np.empty((classes * count, length, 1))
@@ -252,7 +252,7 @@ def labeled_segments(classes: int, length: int, count: int, seed: int = 0,
         xs[c * count : (c + 1) * count, :, 0] = block
         ys[c * count : (c + 1) * count, c] = 1.0
     order = rng.permutation(classes * count)
-    return SeriesDataset(Tensor(xs[order]), Tensor(ys[order]), note="segments")
+    return SeriesDataset(xs[order], ys[order], note="segments")
 
 
 def traffic_with_anomalies(features: int, length: int, rate: float, seed: int = 0):
@@ -366,8 +366,4 @@ def load_dataset(source: Union[str, io.IOBase]) -> SeriesDataset:
     entries = read_records(DATASET_MAGIC, source)
     if sorted(entries) != ["inputs", "targets"]:
         raise FormatError(f"dataset cache needs inputs+targets, got {sorted(entries)}")
-    return SeriesDataset(
-        Tensor(entries["inputs"].astype(np.float64)),
-        Tensor(entries["targets"].astype(np.float64)),
-        note="cache",
-    )
+    return SeriesDataset(entries["inputs"], entries["targets"], note="cache")

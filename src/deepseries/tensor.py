@@ -1,235 +1,42 @@
-"""Dense n-dimensional tensors and the primitive operations everything else builds on.
+"""The read-only float64 array type the engine hands out at its boundaries.
 
-A :class:`Tensor` is an immutable real-valued array with row-major layout.
-Layers and models exchange tensors at their public boundaries; internally the
-engine computes on the backing numpy arrays.
+A :class:`Tensor` wraps a private, write-protected copy of its values.
+Layers and models compute on plain numpy arrays; :func:`as_array` unwraps a
+tensor or coerces anything array-like on the way in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
-
 import numpy as np
-
-from .errors import ShapeError
 
 DTYPE = np.float64
 
 
-@dataclass(frozen=True)
-class Gaussian:
-    """Seeded normal fill specification for :func:`make`."""
-
-    mean: float = 0.0
-    stdev: float = 1.0
-    seed: int = 0
-
-
-def gaussian(mean: float = 0.0, stdev: float = 1.0, seed: int = 0) -> Gaussian:
-    return Gaussian(mean, stdev, seed)
-
-
 class Tensor:
-    """Immutable dense array.
-
-    ``shape`` is a tuple of non-negative integer extents, ``data`` the flat
-    row-major sequence of values.  Rank-0 (scalar) tensors are allowed.
-    """
+    """Immutable dense float64 array; ``array`` is a read-only view of it."""
 
     __slots__ = ("_a",)
 
-    def __init__(self, values, shape: Sequence[int] | None = None):
+    def __init__(self, values):
         a = np.array(values, dtype=DTYPE)
-        if shape is not None:
-            try:
-                a = a.reshape(tuple(shape))
-            except ValueError as exc:
-                raise ShapeError(str(exc)) from None
         a.setflags(write=False)
-        object.__setattr__(self, "_a", a)
-
-    # -- structure ---------------------------------------------------------
+        self._a = a
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self._a.shape
 
     @property
-    def rank(self) -> int:
-        return self._a.ndim
-
-    @property
-    def size(self) -> int:
-        return self._a.size
-
-    @property
     def array(self) -> np.ndarray:
         """Read-only numpy view of the values."""
         return self._a
-
-    @property
-    def data(self) -> list[float]:
-        """Flat row-major copy of the values as a Python list."""
-        return self._a.ravel().tolist()
-
-    # -- access ------------------------------------------------------------
-
-    def element(self, *index: int) -> float:
-        if len(index) != self._a.ndim:
-            raise ShapeError(
-                f"element() needs {self._a.ndim} indices, got {len(index)}"
-            )
-        return float(self._a[index])
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        want = tuple(int(s) for s in shape)
-        if int(np.prod(want, dtype=np.int64)) != self._a.size:
-            raise ShapeError(f"cannot reshape {self.shape} to {want}")
-        return Tensor(self._a.reshape(want))
-
-    def tolist(self):
-        return self._a.tolist()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
 
-ArrayLike = Union[Tensor, np.ndarray, float, int, Sequence]
-
-
-def as_array(x: ArrayLike) -> np.ndarray:
+def as_array(x) -> np.ndarray:
     """Coerce a tensor, numpy array, or nested sequence to a float64 array."""
     if isinstance(x, Tensor):
         return x.array
     return np.asarray(x, dtype=DTYPE)
-
-
-def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for s in shape:
-        if int(s) != s or int(s) < 1:
-            raise ShapeError(f"extents must be positive integers, got {tuple(shape)}")
-        out.append(int(s))
-    return tuple(out)
-
-
-def make(shape: Sequence[int], fill: Union[float, Sequence, Gaussian] = 0.0) -> Tensor:
-    """Create a tensor of ``shape`` from a scalar, a (possibly nested)
-    sequence of matching element count, or a seeded fill."""
-    shp = _check_shape(shape)
-    n = int(np.prod(shp, dtype=np.int64))
-    if isinstance(fill, Gaussian):
-        rng = np.random.default_rng(fill.seed)
-        vals = rng.normal(fill.mean, fill.stdev, size=n)
-    elif np.isscalar(fill):
-        vals = np.full(n, float(fill), dtype=DTYPE)
-    else:
-        try:
-            vals = np.asarray(fill, dtype=DTYPE).reshape(-1)
-        except ValueError:
-            raise ShapeError(f"ragged fill cannot populate shape {shp}") from None
-        if vals.size != n:
-            raise ShapeError(
-                f"fill has {vals.size} elements, shape {shp} needs {n}"
-            )
-    return Tensor(vals.reshape(shp))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Rank-2 matrix product."""
-    if a.rank != 2 or b.rank != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner extents differ: {a.shape} @ {b.shape}")
-    return Tensor(a.array @ b.array)
-
-
-_EWISE_BINARY: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "max": np.maximum,
-}
-
-
-def ewise(op: str, a: Tensor, b: Union[Tensor, float, Callable, None] = None) -> Tensor:
-    """Elementwise arithmetic.
-
-    ``op`` is one of ``add | sub | mul | max`` (second tensor or scalar),
-    ``scale`` (scalar), or ``apply`` (unary callable mapped over elements).
-    """
-    if op == "apply":
-        if not callable(b):
-            raise ShapeError("apply needs a callable")
-        return Tensor(np.vectorize(b, otypes=[DTYPE])(a.array))
-    if op == "scale":
-        if not np.isscalar(b):
-            raise ShapeError("scale needs a scalar")
-        return Tensor(a.array * float(b))
-    if op not in _EWISE_BINARY:
-        raise ShapeError(f"unknown elementwise op {op!r}")
-    if np.isscalar(b):
-        return Tensor(_EWISE_BINARY[op](a.array, float(b)))
-    if not isinstance(b, Tensor):
-        raise ShapeError(f"{op} needs a tensor or scalar second operand")
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor(_EWISE_BINARY[op](a.array, b.array))
-
-
-_REDUCE = {"sum": np.sum, "mean": np.mean, "max": np.max}
-
-
-def reduce(op: str, a: Tensor, axis: int | None = None) -> Tensor:
-    """Reduce with ``sum | mean | max`` over one axis, or over all when axis is None."""
-    if op not in _REDUCE:
-        raise ShapeError(f"unknown reduction {op!r}")
-    if axis is None:
-        return Tensor(_REDUCE[op](a.array))
-    if not (0 <= axis < a.rank):
-        raise ShapeError(f"axis {axis} out of range for rank {a.rank}")
-    return Tensor(_REDUCE[op](a.array, axis=axis))
-
-
-def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
-    """Join tensors along an existing axis; all other extents must agree."""
-    ts = list(tensors)
-    if not ts:
-        raise ShapeError("concat needs at least one tensor")
-    rank = ts[0].rank
-    if not (0 <= axis < rank):
-        raise ShapeError(f"axis {axis} out of range for rank {rank}")
-    for t in ts[1:]:
-        if t.rank != rank:
-            raise ShapeError("concat operands must share rank")
-        for ax in range(rank):
-            if ax != axis and t.shape[ax] != ts[0].shape[ax]:
-                raise ShapeError(
-                    f"extent mismatch off the concat axis: {ts[0].shape} vs {t.shape}"
-                )
-    return Tensor(np.concatenate([t.array for t in ts], axis=axis))
-
-
-def pad(a: Tensor, axis: int, before: int, after: int, value: float = 0.0) -> Tensor:
-    """Extend one axis with ``before``/``after`` copies of ``value``."""
-    if not (0 <= axis < a.rank):
-        raise ShapeError(f"axis {axis} out of range for rank {a.rank}")
-    if before < 0 or after < 0:
-        raise ShapeError("pad amounts must be non-negative")
-    widths = [(0, 0)] * a.rank
-    widths[axis] = (before, after)
-    return Tensor(np.pad(a.array, widths, constant_values=float(value)))
-
-
-def crop(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Keep ``length`` entries of one axis starting at ``start``."""
-    if not (0 <= axis < a.rank):
-        raise ShapeError(f"axis {axis} out of range for rank {a.rank}")
-    if length < 1 or start < 0 or start + length > a.shape[axis]:
-        raise ShapeError(
-            f"crop [{start}:{start + length}] out of bounds for extent {a.shape[axis]}"
-        )
-    idx = [slice(None)] * a.rank
-    idx[axis] = slice(start, start + length)
-    return Tensor(a.array[tuple(idx)])

@@ -176,15 +176,6 @@ def _model_inputs(model: Model, inputs: np.ndarray):
     return inputs if k == 1 else [inputs] * k
 
 
-def _dataset_loss(model: Model, kind: str, inputs, targets, batch_size: int) -> float:
-    total, n = 0.0, inputs.shape[0]
-    for sel in _batches(n, batch_size):
-        pred = model.forward(_model_inputs(model, inputs[sel]), train=False)
-        val, _ = loss_and_grad(kind, pred.array, targets[sel])
-        total += val * len(sel)
-    return total / n
-
-
 def predict(model: Model, inputs, batch_size: int = 256) -> np.ndarray:
     """Evaluation-mode forward over a whole input array, batched.
 
@@ -200,6 +191,10 @@ def predict(model: Model, inputs, batch_size: int = 256) -> np.ndarray:
         model._coerce_inputs(_model_inputs(model, xs))
         return np.empty((0, *model.output_shape))
     return np.concatenate(outs, axis=0)
+
+
+def _dataset_loss(model: Model, kind: str, inputs, targets, batch_size: int) -> float:
+    return loss_and_grad(kind, predict(model, inputs, batch_size), targets)[0]
 
 
 def fit(model: Model, train_set, val_set, config: TrainConfig,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import ParameterError, RegistryError, ShapeError
@@ -197,15 +198,14 @@ def _cai_wenjuan(b, inp, h):
     return b.add("gap", Pool1D(op="global_avg"), cur)
 
 
-def _chen_chen(b, inp, h):
-    cur = _conv_pool_chain(b, inp[0], h)
-    cur = b.add("lstm1", LSTM(h["units"], return_sequences=True), cur)
-    return b.add("lstm2", LSTM(h["units"]), cur)
-
-
-def _fu_jiangmeng(b, inp, h):
+def _conv_lstm(b, inp, h, lstms=1):
+    """Conv/max-pool stages into ``lstms`` stacked LSTMs (``lstm``, or
+    ``lstm1``..``lstmN``); only the last one returns a single step."""
     cur = _conv_pool_chain(b, inp[0], h, first_kernel=h.get("first_kernel"))
-    return b.add("lstm", LSTM(h["units"]), cur)
+    for i in range(lstms):
+        name = "lstm" if lstms == 1 else f"lstm{i + 1}"
+        cur = b.add(name, LSTM(h["units"], return_sequences=i < lstms - 1), cur)
+    return cur
 
 
 def _gao_junli(b, inp, h):
@@ -216,23 +216,12 @@ def _gen_minxing(b, inp, h):
     return b.add("bilstm", Bidirectional(LSTM(h["units"])), inp[0])
 
 
-def _hong_tan(b, inp, h):
-    cur = _conv_pool_chain(b, inp[0], h)
-    cur = b.add("lstm1", LSTM(h["units"], return_sequences=True), cur)
-    cur = b.add("lstm2", LSTM(h["units"], return_sequences=True), cur)
-    return b.add("lstm3", LSTM(h["units"]), cur)
-
-
 def _htet_myet_lynn(b, inp, h):
     cur = _conv_pool_chain(b, inp[0], h, pool_after_each=False)
     if h["recurrent"] not in ("gru", "lstm"):
         raise ParameterError("recurrent must be 'gru' or 'lstm'")
     inner = LSTM(h["units"]) if h["recurrent"] == "lstm" else GRU(h["units"])
     return b.add("birnn", Bidirectional(inner), cur)
-
-
-def _huang_mei_ling(b, inp, h):
-    return _conv_pool_chain(b, inp[0], h)
 
 
 def _khan_zulfiqar(b, inp, h):
@@ -416,7 +405,7 @@ _register(
     _contract(conv1d=6, pool1d=6, lstm=2),
     _fams(cnn=True, lstm=True),
     {"filters": [16, 32, 64, 128, 128, 128], "kernel": 3, "pool": 2, "units": 64},
-    _chen_chen,
+    partial(_conv_lstm, lstms=2),
 )
 _register(
     "FuJiangmeng",
@@ -424,7 +413,7 @@ _register(
     _contract(conv1d=1, pool1d=1, lstm=1),
     _fams(cnn=True, lstm=True),
     {"filters": [16], "kernel": 3, "pool": 2, "units": 64},
-    _fu_jiangmeng,
+    partial(_conv_lstm, lstms=1),
 )
 _register(
     "GaoJunli",
@@ -448,7 +437,7 @@ _register(
     _contract(conv1d=2, pool1d=2, lstm=3),
     _fams(cnn=True, lstm=True),
     {"filters": [16, 32], "kernel": 3, "pool": 2, "units": 64},
-    _hong_tan,
+    partial(_conv_lstm, lstms=3),
 )
 _register(
     "HtetMyetLynn",
@@ -464,7 +453,7 @@ _register(
     _contract(conv1d=2, pool1d=2),
     _fams(cnn=True),
     {"filters": [16, 32], "kernel": 3, "pool": 2},
-    _huang_mei_ling,
+    partial(_conv_lstm, lstms=0),
 )
 _register(
     "KhanZulfiqar",
@@ -488,7 +477,7 @@ _register(
     _contract(conv1d=1, pool1d=1, lstm=2),
     _fams(cnn=True, lstm=True),
     {"filters": [16], "kernel": 3, "pool": 2, "units": 64},
-    _chen_chen,
+    partial(_conv_lstm, lstms=2),
 )
 _register(
     "LihOhShu",
@@ -497,7 +486,7 @@ _register(
     _fams(cnn=True, lstm=True),
     {"filters": [16, 32, 64, 128, 128], "kernel": 3, "first_kernel": 5,
      "pool": 2, "units": 64},
-    _fu_jiangmeng,
+    partial(_conv_lstm, lstms=1),
 )
 _register(
     "OhShuLih",
@@ -582,7 +571,7 @@ _register(
     _contract(conv1d=2, pool1d=2, lstm=1),
     _fams(cnn=True, lstm=True),
     {"filters": [16, 32], "kernel": 3, "pool": 2, "units": 20},
-    _fu_jiangmeng,
+    partial(_conv_lstm, lstms=1),
     citation="worked example",
 )
 
@@ -710,7 +699,7 @@ def minimum_input_length(name: str, channels: int = 1, **hyper) -> int:
 
 
 def describe(name: str, input_shape=(1000, 1), **hyper) -> dict:
-    """Structured report: families, default hyper, parameter count, shapes."""
+    """Structured report: families, default and built hyper, parameter count, shapes."""
     desc = get_descriptor(name)
     model = build_model(name, input_shape, seed=0, **hyper)
     return {
@@ -721,6 +710,7 @@ def describe(name: str, input_shape=(1000, 1), **hyper) -> dict:
         "families": family_counts(model),
         "presence": family_presence(model),
         "default_hyper": desc.default_hyper,
+        "hyper": model.hyper,
         "param_count": model.param_count(),
         "output_shape": model.output_shape,
     }

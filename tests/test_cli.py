@@ -46,6 +46,13 @@ def test_describe_accepts_hyper_overrides(capsys):
     assert "output_shape: (8,)" in out
 
 
+def test_describe_prints_the_hyper_it_built_with(capsys):
+    code, out, _ = run_cli(["describe", "ExampleModel", "--hyper", "units=8"], capsys)
+    assert code == 0
+    assert "hyper.units: 8" in out.splitlines()
+    assert "hyper.kernel: 3" in out.splitlines()  # defaults fill the rest
+
+
 def test_describe_rejects_mistyped_hyper(capsys):
     code, _, err = run_cli(["describe", "ExampleModel", "--hyper", "filters=abc"], capsys)
     assert code == 2
@@ -280,6 +287,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "--synth", "sine:volume=11", "--out", str(tmp_path / "x")],
         capsys,
     )[0] == 2  # unknown synth option
+
+
+@pytest.mark.parametrize("task,spec", [
+    ("forecast", "sine:length=abc"),
+    ("forecast", "sine:length=1+2"),
+    ("forecast", "sine:length=2.5"),
+    ("forecast", "sine:period=0"),
+    ("forecast", "sine:noise=0.1,seed=-1"),
+    ("anomaly", "traffic:rate=abc"),
+    ("classify", "segments:count=abc"),
+    ("classify", "segments:noise=-1"),
+])
+def test_bad_synth_options_exit_2(tmp_path, capsys, task, spec):
+    code, _, err = run_cli(
+        ["train", "--task", task, "--model", "ExampleModel", "--synth", spec,
+         "--epochs", "1", "--out", str(tmp_path / "x")],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

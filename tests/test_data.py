@@ -273,6 +273,13 @@ def test_labeled_segments_layout():
         labeled_segments(1, 32, 4)
 
 
+def test_labeled_segments_rejects_negative_noise():
+    with pytest.raises(ParameterError):
+        labeled_segments(2, 32, 4, noise=-1.0)
+    with pytest.raises(ParameterError):
+        labeled_segments(2, 32, 4, noise=float("nan"))
+
+
 def test_labeled_segments_classes_are_separable():
     ds = labeled_segments(classes=2, length=64, count=3, seed=1, noise=0.01)
     xs = np.asarray(ds.inputs.array)

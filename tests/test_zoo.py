@@ -1,5 +1,6 @@
 """Architecture catalogue: contracts, family table, heads, autoencoder pair."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -61,6 +62,33 @@ MIN_LENGTHS = {
     "ZhengZhenyu": 36, "ExampleModel": 10,
 }
 
+# SHA-256 of each entry's ordered ``name shape`` state lines at (256, 1), seed 0:
+# the .dsw manifest (names, order, shapes) that saved weights are checked against.
+MANIFEST_SHA256 = {
+    "CaiWenjuan": "7790c45897b804a409550f2150305e5f067a1a850c4407029b670286fd3b8a2d",
+    "ChenChen": "76b2baa925f69e755c8388583a53f9e581599173c5b89c4f78b024ee08982e63",
+    "FuJiangmeng": "185681af0e964310c831731a1d30428b34584a57dc361f9c768c088bf5797822",
+    "GaoJunli": "471238db9bf540d32009b34d0c5aa92e56288aa7e5971e07e2abb939f5ed7ef8",
+    "GenMinxing": "5cf17c04ce9c3fd0121563fb33413caf65f5cd955cb4bf567df8dea64562617b",
+    "HongTan": "9381d7bf44e0c96f5dabc62326259c12734f926933bc1882d47b34f8f9a52b33",
+    "HtetMyetLynn": "fbf5870f6e5b4fdbdb2bc799dbae7bb803f62285318fd4fe00698558fe4765e0",
+    "HuangMeiLing": "8de3826deac6fb58dadb1ec0cd78ca98c0780946567117e21a8db8c61e93c61f",
+    "KhanZulfiqar": "a0de08fcb826bc935fa95e86e1631040886209c88a52e9c857c5bbcdf840d1f2",
+    "KimTaeYoung": "881ac8a4fadb872c6c9d60bb83288c544b8d90da4f03beb92d5be6b965941a21",
+    "KongZhengmin": "af0fbcb61896d91a4d9916efd9a9ef64063a0067fa895e4a5e45d50e26f05ccd",
+    "LihOhShu": "2eb9b5e5e8f3d3600fc84d82c035fd9b71e9fa298d3694f35fcf4e40a04381c8",
+    "OhShuLih": "1bd685f6826952c7bd94c12e34de762ac40a0d9504d98e0b0ba07638b761c244",
+    "ShiHaotian": "a5112f8c55c04d93ba4f67951799b5cfbb2a97c3c6ff08391ff3fb1538ea7afd",
+    "WangKejun": "1be8d887b97300e57eb04c8bc3a59f3744574b87e4a7659e0d9efcbb6d0da877",
+    "WeiXiaoyan": "c569eb9ef1cf0c3a9487af1124ae37698e064bdb8e1a413ff36da161b11d9154",
+    "YaoQihang": "9187651a601fec9ac823f4b685a3271a854f7d114112ed3f6e0eadb511a4c412",
+    "YiboGao": "2751dfb84f54ce0c5e2945b58b39d7b7f362a46d97c9f207505385f68071ca89",
+    "YildirimOzal": "294f81d7629038bb7df33c631f959b0eeb219b0266b8ab62bf37dd0cb72cc8bf",
+    "ZhangJin": "d66e3ecd9413fc5c371dc79f77a9f3df0cccc582977d2ee3585275bf53631dc6",
+    "ZhengZhenyu": "6d027b596b12f7c803ef5e617c8a9ff23ba179a0b47944b69f71dbb81f57b577",
+    "ExampleModel": "ff324dbf0b06b279bb41621b04d09cc3408575f4c0e24ca1c04aeaf36db367f9",
+}
+
 
 def test_catalogue_contents():
     got = zoo.names()
@@ -73,6 +101,13 @@ def test_catalogue_contents():
 def test_family_contract_matches_built_graph(name):
     model = build_model(name, (256, 1))
     assert family_counts(model) == get_descriptor(name).family_contract
+
+
+@pytest.mark.parametrize("name", zoo.names())
+def test_weights_manifest_pinned(name):
+    state = build_model(name, (256, 1)).state()
+    text = "\n".join(f"{k} {v.shape}" for k, v in state.items())
+    assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST_SHA256[name]
 
 
 @pytest.mark.parametrize("name", PAPER_NAMES)

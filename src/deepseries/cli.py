@@ -7,11 +7,16 @@ Commands
 * ``train --task T --model M ...`` preset pipeline, writes run artifacts
 * ``eval --task T --model M --weights F ...``  test metric from saved weights
 
-Exit codes: 0 ok, 2 usage, 3 training diverged, 4 data problem, 5 weights
-file problem.  Every train run writes ``weights.dsw``, ``history.txt``,
-``metrics.txt``, and ``manifest.txt`` into the output directory; the manifest
-echoes the resolved configuration and library versions so a run can be
-reproduced exactly.
+A run's configuration is resolved once, in layers: the task preset, the CSV
+preset when the data comes from a CSV file, the ``--config`` file, then the
+flags.  Each key must be one the task reads, and each value must be of the
+kind of its preset value, whose type it then takes.
+
+Exit codes: 0 ok, 2 usage (a bad flag, config key or value), 3 training
+diverged, 4 data problem, 5 weights file problem.  Every train run writes
+``weights.dsw``, ``history.txt``, ``metrics.txt``, and ``manifest.txt`` into
+the output directory; the manifest echoes the resolved configuration and
+library versions so a run can be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -54,25 +59,31 @@ _DATA_ERRORS = (
     OSError,
 )
 
-# Per-task presets; command-line flags and config files override these.
-_TASK_DEFAULTS = {
-    "forecast": {
-        "window": 100, "horizon": 10, "smooth_window": 0, "smooth_iters": 5,
-        "loss": "mse", "batch_size": 256, "epochs": 150, "patience": 2,
-        "delta": 0.0, "lr": 1e-3, "metric": "mae",
-        "synth": "sine", "csv_window": 1000, "csv_horizon": 50,
-        "csv_smooth_window": 50,
-    },
-    "classify": {
-        "window": 128, "loss": "cross_entropy", "batch_size": 256,
-        "epochs": 150, "patience": 3, "delta": 0.0, "lr": 1e-3,
-        "metric": "accuracy", "synth": "segments", "csv_window": 1000,
-    },
-    "anomaly": {
-        "window": 48, "steps": 4, "loss": "mse", "batch_size": 256,
-        "epochs": 150, "patience": 3, "delta": 0.0, "lr": 1e-3,
-        "metric": "auc", "synth": "traffic",
-    },
+# The keys each task reads, with their preset values ("" is a string not given).
+_SHARED = {"model": "", "csv": "", "seed": 0, "out": "run", "batch_size": 256,
+           "epochs": 150, "delta": 0.0, "lr": 1e-3}
+_TASK_PRESETS = {
+    "forecast": {**_SHARED, "synth": "sine", "column": "", "window": 100,
+                 "horizon": 10, "smooth_window": 0, "smooth_iters": 5,
+                 "loss": "mse", "patience": 2},
+    "classify": {**_SHARED, "synth": "segments", "window": 128,
+                 "loss": "cross_entropy", "patience": 3},
+    "anomaly": {**_SHARED, "synth": "traffic", "window": 48, "steps": 4,
+                "loss": "mse", "patience": 3},
+}
+# Laid over the task preset when the data source is a CSV file.
+_CSV_PRESETS = {
+    "forecast": {"window": 1000, "horizon": 50, "smooth_window": 50},
+    "classify": {"window": 1000},
+    "anomaly": {},
+}
+# Options of each synthetic family with their defaults.  Every family also
+# takes ``seed`` (default: the run seed); one without a ``length`` default
+# makes series as long as the run window.
+_SYNTH_OPTIONS = {
+    "sine": {"period": 40.0, "noise": 0.0, "length": 2000, "offset": 2.0},
+    "segments": {"classes": 5, "count": 60, "noise": 0.05},
+    "traffic": {"features": 3, "length": 2000, "rate": 0.02},
 }
 
 
@@ -108,133 +119,114 @@ def _parse_kv_list(text: str) -> dict:
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; ``#`` comments and blank lines ignored."""
+    """Flat ``key = value`` lines; ``#`` comments and blank lines ignored.
+
+    Values are parsed like ``--hyper`` values, except that the ``hyper``
+    value, itself a ``key=value`` list, stays text.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = _parse_value(val)
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected key = value")
+        key, val = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        out[key] = val if key == "hyper" else _parse_value(val)
     return out
 
 
-def _parse_synth(spec: str):
-    """``name[:key=value,...]`` into (name, options)."""
-    name, _, rest = spec.partition(":")
-    return name.strip(), _parse_kv_list(rest) if rest else {}
-
-
-def _synth_option(opts: dict, key: str, default):
-    """Pop one synth option; it must be a value like its default (ints pass as floats)."""
-    val = opts.pop(key, default)
+def _typed(what: str, key: str, default, val):
+    """``val`` in the type of ``default``; it must be of the same kind (ints pass as floats)."""
     if not zoo._same_kind(default, val):
-        raise ParameterError(f"synth option {key!r} takes a value like {default!r}, got {val!r}")
-    if isinstance(default, int) and val < 0:  # counts, lengths and seeds
-        raise ParameterError(f"synth option {key!r} must be >= 0, got {val}")
-    return type(default)(val)
+        raise ParameterError(f"{what} {key!r} takes a value like {default!r}, got {val!r}")
+    try:
+        return type(default)(val)
+    except OverflowError:  # an integer too large for a float
+        raise ParameterError(f"{what} {key!r} is out of range, got {val}") from None
 
 
-class _Run:
-    """Resolved run configuration: presets < config file < explicit flags."""
+def _resolve(args) -> dict:
+    """The run configuration of ``train``/``eval`` as one dict, typed like the task preset.
 
-    def __init__(self, args):
-        self.task = args.task
-        if self.task not in _TASK_DEFAULTS:
-            raise ParameterError(f"unknown task {args.task!r}")
-        merged = dict(_TASK_DEFAULTS[self.task])
-        merged.update({"model": None, "csv": None, "seed": 0, "out": "run",
-                       "hyper": {}, "column": None})
-        self.explicit: set = set()
-        if getattr(args, "config", None):
-            file_cfg = _read_config_file(args.config)
-            hyper = file_cfg.pop("hyper", None)
-            if hyper is not None:
-                merged["hyper"] = _parse_kv_list(str(hyper))
-            merged.update(file_cfg)
-            self.explicit |= set(file_cfg)
-        for key in ("model", "csv", "synth", "seed", "out", "window",
-                    "horizon", "steps", "smooth_window", "smooth_iters",
-                    "epochs", "batch_size", "patience", "delta", "lr",
-                    "column"):
-            val = getattr(args, key, None)
-            if val is not None:
-                merged[key] = val
-                self.explicit.add(key)
-        if getattr(args, "hyper", None):
-            merged["hyper"] = {**merged["hyper"], **_parse_kv_list(args.hyper)}
-        if not merged.get("model"):
-            raise ParameterError("--model is required")
-        if merged.get("csv") and getattr(args, "synth", None):
-            raise ParameterError("give either --csv or --synth, not both")
-        self.cfg = merged
+    Task preset < CSV preset < config file < flags, except that ``hyper``
+    overrides from the flag merge into those from the config file.
+    """
+    preset = _TASK_PRESETS[args.task]
+    file_cfg = _read_config_file(args.config) if args.config else {}
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "task", "config", "weights")}
+    given, hyper = {}, {}
+    for layer in (file_cfg, flags):
+        hyper.update(_parse_kv_list(layer.pop("hyper", "")))
+        for key, val in layer.items():
+            if key not in preset:
+                raise ParameterError(f"{key!r} is not a {args.task} setting; "
+                                     f"allowed: {sorted([*preset, 'hyper'])}")
+            given[key] = _typed("setting", key, preset[key], val)
+    if given.get("csv") and "synth" in given:
+        raise ParameterError("give either --csv or --synth, not both")
+    cfg = {**preset, **(_CSV_PRESETS[args.task] if given.get("csv") else {}), **given,
+           "task": args.task, "hyper": hyper}
+    if not cfg["model"]:
+        raise ParameterError("--model is required")
+    if cfg["seed"] < 0:
+        raise ParameterError(f"seed must be >= 0, got {cfg['seed']}")
+    return cfg
 
-    def __getitem__(self, key):
-        return self.cfg[key]
 
-    def get(self, key, default=None):
-        return self.cfg.get(key, default)
-
-    def train_config(self) -> train.TrainConfig:
-        c = self.cfg
-        return train.TrainConfig(
-            loss=c["loss"], batch_size=int(c["batch_size"]),
-            max_epochs=int(c["epochs"]), patience=int(c["patience"]),
-            min_delta=float(c["delta"]), lr=float(c["lr"]),
-            seed=int(c["seed"]),
-        )
+def _synth_options(cfg: dict) -> dict:
+    """The ``--synth`` spec's options over its family defaults, typed like them."""
+    family = _TASK_PRESETS[cfg["task"]]["synth"]
+    name, _, rest = cfg["synth"].partition(":")
+    if name.strip() != family:
+        raise ParameterError(
+            f"{cfg['task']} preset expects synth {family!r}, got {name.strip()!r}")
+    defaults = {"length": cfg["window"], **_SYNTH_OPTIONS[family], "seed": cfg["seed"]}
+    given = _parse_kv_list(rest)
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ParameterError(f"unknown {family} options {unknown}")
+    opts = {}
+    for key, default in defaults.items():
+        opts[key] = val = _typed("synth option", key, default, given.get(key, default))
+        if isinstance(default, int) and val < 0:  # counts, lengths and seeds
+            raise ParameterError(f"synth option {key!r} must be >= 0, got {val}")
+    return opts
 
 
 # -- dataset assembly per task ---------------------------------------------------
 
 
-def _forecast_sets(run: _Run):
-    c = run.cfg
-    smooth_window = int(c["smooth_window"])
-    if c["csv"]:
-        columns = [c["column"]] if c["column"] is not None else None
-        series = data.load_csv(c["csv"], columns=columns)
-        if "window" not in run.explicit:
-            c["window"] = c["csv_window"]
-        if "horizon" not in run.explicit:
-            c["horizon"] = c["csv_horizon"]
-        if "smooth_window" not in run.explicit:
-            smooth_window = int(c["csv_smooth_window"])
+def _forecast_sets(cfg: dict):
+    if cfg["csv"]:
+        columns = [cfg["column"]] if cfg["column"] else None
+        series = data.load_csv(cfg["csv"], columns=columns)
     else:
-        name, opts = _parse_synth(c["synth"])
-        if name != "sine":
-            raise ParameterError(f"forecast preset expects synth 'sine', got {name!r}")
-        period = _synth_option(opts, "period", 40.0)
+        opts = _synth_options(cfg)
+        period = opts.pop("period")
         if not period > 0.0:
             raise ParameterError(f"sine period must be > 0, got {period}")
-        series = data.sine_mix(
-            freqs=[1.0 / period],
-            noise=_synth_option(opts, "noise", 0.0),
-            length=_synth_option(opts, "length", 2000),
-            seed=_synth_option(opts, "seed", int(c["seed"])),
-            offset=_synth_option(opts, "offset", 2.0),
-        )
-        if opts:
-            raise ParameterError(f"unknown sine options {sorted(opts)}")
-    if smooth_window > 1:
-        series = data.smooth(series, smooth_window, int(c["smooth_iters"]))
-    window, horizon = int(c["window"]), int(c["horizon"])
+        series = data.sine_mix(freqs=[1.0 / period], **opts)
+    if cfg["smooth_window"] > 1:
+        series = data.smooth(series, cfg["smooth_window"], cfg["smooth_iters"])
+    window, horizon = cfg["window"], cfg["horizon"]
     parts = data.chrono_split(series, (0.7, 0.2, 0.1))
     sets = tuple(data.windowize(p, window, horizon) for p in parts)
     features = series.shape[1]
     top = zoo.make_top("forecast", horizon=horizon, features=features)
-    return sets, (window, features), top, {"window": window, "horizon": horizon,
-                                           "features": features,
-                                           "smooth_window": smooth_window}
+    return sets, (window, features), top, {"features": features}
 
 
-def _classify_sets(run: _Run):
-    c = run.cfg
-    if c["csv"]:
-        raw = data.load_csv(c["csv"])
+def _classify_sets(cfg: dict):
+    if cfg["csv"]:
+        raw = data.load_csv(cfg["csv"])
         arr = np.asarray(raw.array)
         if arr.shape[1] < 2:
             raise DataError("classify CSV needs feature columns plus a final label column")
@@ -244,57 +236,37 @@ def _classify_sets(run: _Run):
         classes = int(labels.max()) + 1
         if classes < 2:
             raise DataError("classify needs at least two classes")
-        length = int(c["window"]) if "window" in run.explicit else int(c["csv_window"])
         segs = np.stack([
-            np.asarray(data.pad_or_truncate(row[:, None], length).array)
+            np.asarray(data.pad_or_truncate(row[:, None], cfg["window"]).array)
             for row in feats
         ])
         onehot = np.eye(classes)[labels]
         ds = data.SeriesDataset(segs, onehot)
     else:
-        name, opts = _parse_synth(c["synth"])
-        if name != "segments":
-            raise ParameterError(f"classify preset expects synth 'segments', got {name!r}")
-        classes = _synth_option(opts, "classes", 5)
-        length = _synth_option(opts, "length", int(c["window"]))
-        ds = data.labeled_segments(
-            classes, length, _synth_option(opts, "count", 60),
-            seed=_synth_option(opts, "seed", int(c["seed"])),
-            noise=_synth_option(opts, "noise", 0.05),
-        )
-        if opts:
-            raise ParameterError(f"unknown segments options {sorted(opts)}")
+        opts = _synth_options(cfg)
+        classes = opts["classes"]
+        ds = data.labeled_segments(**opts)
     normalized = np.stack([
         np.asarray(data.zscore(seg).array) for seg in np.asarray(ds.inputs.array)
     ])
     ds = data.SeriesDataset(normalized, ds.targets, ds.note)
-    sets = data.split_pairs(ds, (0.7, 0.2, 0.1), seed=int(c["seed"]))
+    sets = data.split_pairs(ds, (0.7, 0.2, 0.1), seed=cfg["seed"])
     shape = tuple(np.asarray(ds.inputs.array).shape[1:])
     top = zoo.make_top("classify", classes=classes)
     return sets, shape, top, {"classes": classes, "window": shape[0]}
 
 
-def _anomaly_sets(run: _Run):
-    c = run.cfg
-    if c["csv"]:
-        raw = np.asarray(data.load_csv(c["csv"]).array)
+def _anomaly_sets(cfg: dict):
+    if cfg["csv"]:
+        raw = np.asarray(data.load_csv(cfg["csv"]).array)
         if raw.shape[1] < 2:
             raise DataError("anomaly CSV needs feature columns plus a final 0/1 label column")
         series, labels = raw[:, :-1], raw[:, -1]
     else:
-        name, opts = _parse_synth(c["synth"])
-        if name != "traffic":
-            raise ParameterError(f"anomaly preset expects synth 'traffic', got {name!r}")
-        series, labels = data.traffic_with_anomalies(
-            _synth_option(opts, "features", 3), _synth_option(opts, "length", 2000),
-            _synth_option(opts, "rate", 0.02),
-            seed=_synth_option(opts, "seed", int(c["seed"])),
-        )
+        series, labels = data.traffic_with_anomalies(**_synth_options(cfg))
         series = np.asarray(series.array)
         labels = np.asarray(labels.array)
-        if opts:
-            raise ParameterError(f"unknown traffic options {sorted(opts)}")
-    window, steps = int(c["window"]), int(c["steps"])
+    window, steps = cfg["window"], cfg["steps"]
     ds, anom, clean = data.anomaly_windows(series, labels, window, steps, stride=steps)
     anom, clean = np.asarray(anom).astype(bool), np.asarray(clean).astype(bool)
     # Clean windows from the leading 70% of the stream train the forecaster,
@@ -312,8 +284,8 @@ def _anomaly_sets(run: _Run):
     val_set = ds.take(np.flatnonzero(in_val & clean))
     features = series.shape[1]
     top = zoo.make_top("anomaly", steps=steps, features=features)
-    extra = {"window": window, "steps": steps, "features": features,
-             "scored_windows": int(ds.n), "anomalous_windows": int(anom.sum())}
+    extra = {"features": features, "scored_windows": int(ds.n),
+             "anomalous_windows": int(anom.sum())}
     return (train_set, val_set, (ds, anom)), (window, features), top, extra
 
 
@@ -326,12 +298,10 @@ def _write_lines(path: str, lines):
             fh.write(line + "\n")
 
 
-def _manifest_lines(run: _Run, extra: dict) -> list[str]:
-    c = {k: v for k, v in run.cfg.items() if not k.startswith("_")}
-    c["task"] = run.task
-    c.update(extra)
-    hyper = c.pop("hyper", {})
-    lines = [f"{k} = {c[k]}" for k in sorted(c) if c[k] is not None]
+def _manifest_lines(cfg: dict, extra: dict) -> list[str]:
+    c = {**cfg, **extra}
+    hyper = c.pop("hyper")
+    lines = [f"{k} = {c[k]}" for k in sorted(c) if c[k] != ""]
     lines += [f"hyper.{k} = {v}" for k, v in sorted(hyper.items())]
     lines += [
         f"deepseries = {__version__}",
@@ -369,22 +339,22 @@ def cmd_describe(args) -> int:
     return EXIT_OK
 
 
-def _prepare(run: _Run):
-    if run.task == "forecast":
-        (tr, va, te), shape, top, extra = _forecast_sets(run)
+def _prepare(cfg: dict):
+    if cfg["task"] == "forecast":
+        (tr, va, te), shape, top, extra = _forecast_sets(cfg)
         test = (te, None)
-    elif run.task == "classify":
-        (tr, va, te), shape, top, extra = _classify_sets(run)
+    elif cfg["task"] == "classify":
+        (tr, va, te), shape, top, extra = _classify_sets(cfg)
         test = (te, None)
     else:
-        (tr, va, test), shape, top, extra = _anomaly_sets(run)
-    model = zoo.build_model(run["model"], shape, top=top,
-                            seed=int(run["seed"]), **run["hyper"])
+        (tr, va, test), shape, top, extra = _anomaly_sets(cfg)
+    model = zoo.build_model(cfg["model"], shape, top=top,
+                            seed=cfg["seed"], **cfg["hyper"])
     return tr, va, test, model, extra
 
 
-def _test_metrics(run: _Run, model, test) -> list[tuple[str, float]]:
-    if run.task == "anomaly":
+def _test_metrics(cfg: dict, model, test) -> list[tuple[str, float]]:
+    if cfg["task"] == "anomaly":
         te, te_anom = test
         k = int(te_anom.sum())
         if k == 0 or k == te.n:
@@ -393,23 +363,25 @@ def _test_metrics(run: _Run, model, test) -> list[tuple[str, float]]:
         scores, labels, score = data.anomaly_harness(model, te, te_anom, top_k=k)
         return [("auc", score), ("top_k", float(k))]
     te, _ = test
-    pred = train.predict(model, te.inputs, batch_size=int(run["batch_size"]))
-    value = train.evaluate(run["metric"], pred, te.targets)
-    return [(run["metric"], value)]
+    pred = train.predict(model, te.inputs, batch_size=cfg["batch_size"])
+    metric = "mae" if cfg["task"] == "forecast" else "accuracy"
+    return [(metric, train.evaluate(metric, pred, te.targets))]
 
 
 def cmd_train(args) -> int:
-    run = _Run(args)
-    tr, va, test, model, extra = _prepare(run)
-    history = train.fit(model, tr, va, run.train_config())
-    out = run["out"]
+    cfg = _resolve(args)
+    tr, va, test, model, extra = _prepare(cfg)
+    history = train.fit(model, tr, va, train.TrainConfig(
+        loss=cfg["loss"], batch_size=cfg["batch_size"], max_epochs=cfg["epochs"],
+        patience=cfg["patience"], min_delta=cfg["delta"], lr=cfg["lr"], seed=cfg["seed"]))
+    out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     model.save_weights(os.path.join(out, "weights.dsw"))
-    metrics = _test_metrics(run, model, test)
+    metrics = _test_metrics(cfg, model, test)
     metrics.append(("val_loss", history.epochs[history.best_epoch]["val_loss"]))
     _write_lines(os.path.join(out, "history.txt"), history.lines())
     _write_lines(os.path.join(out, "metrics.txt"), _metric_lines(metrics))
-    _write_lines(os.path.join(out, "manifest.txt"), _manifest_lines(run, extra))
+    _write_lines(os.path.join(out, "manifest.txt"), _manifest_lines(cfg, extra))
     for line in _metric_lines(metrics):
         print(line)
     print(f"artifacts written to {out}")
@@ -417,13 +389,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    run = _Run(args)
-    tr, va, test, model, extra = _prepare(run)
+    cfg = _resolve(args)
+    tr, va, test, model, extra = _prepare(cfg)
     try:
         model.load_weights(args.weights)
     except (FormatError, OSError) as exc:
         raise _WeightsProblem(str(exc)) from None
-    metrics = _test_metrics(run, model, test)
+    metrics = _test_metrics(cfg, model, test)
     for line in _metric_lines(metrics):
         print(line)
     if getattr(args, "out", None):
@@ -445,7 +417,7 @@ def _add_run_flags(p: argparse.ArgumentParser, with_weights: bool):
     src = p.add_argument_group("data source (exactly one)")
     src.add_argument("--csv", help="CSV input path")
     src.add_argument("--synth", help="synthetic spec, e.g. sine:length=2000,noise=0.1")
-    p.add_argument("--column", help="CSV column to forecast (name or index)")
+    p.add_argument("--column", help="CSV column to forecast (header name)")
     p.add_argument("--config", help="flat key = value config file; flags override")
     p.add_argument("--hyper", help="architecture overrides, e.g. units=32,kernel=5")
     p.add_argument("--seed", type=int)

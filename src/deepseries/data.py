@@ -222,6 +222,8 @@ def sine_mix(freqs: Sequence[float], noise: float, length: int, seed: int = 0,
     amps = list(amplitudes) if amplitudes is not None else [1.0] * len(freqs)
     if len(amps) != len(freqs):
         raise ParameterError("amplitudes must match freqs in length")
+    if not noise >= 0.0:
+        raise ParameterError(f"noise must be >= 0, got {noise}")
     t = np.arange(length)
     x = np.full(length, float(offset))
     for f, a in zip(freqs, amps):

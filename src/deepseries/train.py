@@ -69,8 +69,8 @@ class Adam:
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8,
                  frozen: Iterable[str] = ()):
-        if lr <= 0:
-            raise ParameterError("lr must be > 0")
+        if not 0.0 < lr < np.inf:
+            raise ParameterError(f"lr must be finite and > 0, got {lr}")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ParameterError("betas must lie in [0, 1)")
         self.params = params
@@ -110,8 +110,8 @@ class EarlyStopping:
     def __init__(self, patience: int, min_delta: float = 0.0):
         if patience < 0:
             raise ParameterError("patience must be >= 0")
-        if min_delta < 0:
-            raise ParameterError("min_delta must be >= 0")
+        if not 0.0 <= min_delta < np.inf:
+            raise ParameterError(f"min_delta must be finite and >= 0, got {min_delta}")
         self.patience = int(patience)
         self.min_delta = float(min_delta)
         self.best = np.inf

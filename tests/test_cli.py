@@ -5,9 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from deepseries import zoo
+from deepseries import cli, zoo
 from deepseries.cli import main
+from deepseries.errors import ParameterError
 
 
 def run_cli(argv, capsys):
@@ -203,6 +206,34 @@ def test_config_file_under_flag_precedence(tmp_path, capsys):
     assert "hyper.units = 10" in manifest  # hyper override applied
 
 
+def test_config_file_hyper_takes_lists(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("hyper = filters=8+8,units=10\n")
+    out_dir = tmp_path / "cfgrun"
+    code, _, _ = run_cli(FAST_FORECAST + ["--config", str(cfg), "--out", str(out_dir)],
+                         capsys)
+    assert code == 0
+    manifest = (out_dir / "manifest.txt").read_text().splitlines()
+    assert "hyper.filters = [8, 8]" in manifest
+    assert "hyper.units = 10" in manifest
+
+
+def test_csv_preset_sits_between_task_preset_and_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = 30\ndelta = 0\n")
+    args = cli._parser().parse_args(
+        ["train", "--task", "forecast", "--model", "ExampleModel",
+         "--csv", "series.csv", "--config", str(cfg), "--lr", "1"])
+    c = cli._resolve(args)
+    assert (c["window"], c["horizon"], c["smooth_window"]) == (30, 50, 50)
+    assert c["smooth_iters"] == 5  # from the task preset
+    assert type(c["delta"]) is float and type(c["lr"]) is float  # typed like the preset
+    args = cli._parser().parse_args(
+        ["train", "--task", "forecast", "--model", "ExampleModel", "--synth", "sine"])
+    c = cli._resolve(args)
+    assert (c["window"], c["horizon"], c["smooth_window"]) == (100, 10, 0)
+
+
 def test_default_out_directory(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, _ = run_cli(FAST_FORECAST, capsys)
@@ -298,6 +329,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ("anomaly", "traffic:rate=abc"),
     ("classify", "segments:count=abc"),
     ("classify", "segments:noise=-1"),
+    ("forecast", "sine:noise=-1"),
 ])
 def test_bad_synth_options_exit_2(tmp_path, capsys, task, spec):
     code, _, err = run_cli(
@@ -308,6 +340,102 @@ def test_bad_synth_options_exit_2(tmp_path, capsys, task, spec):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+FAST_SINE = ["--synth", "sine:length=300", "--window", "20", "--horizon", "2",
+             "--epochs", "1"]
+CSV_20 = ["--csv", "CSV", "--window", "20", "--horizon", "2", "--epochs", "1"]
+
+
+@pytest.mark.parametrize("task,flags,config", [
+    ("forecast", FAST_SINE, "window = abc"),
+    ("forecast", FAST_SINE, "delta = x"),
+    ("forecast", CSV_20 + ["--seed", "-1"], None),
+    ("forecast", FAST_SINE, "out = 3"),
+    ("forecast", FAST_SINE, "windw = 30"),  # a typo
+    ("forecast", FAST_SINE, "task = classify"),  # the task is the --task flag
+    ("classify", ["--synth", "segments:classes=2,count=4,length=16", "--epochs", "1",
+                  "--column", "value"], None),
+    ("forecast", FAST_SINE + ["--steps", "3"], None),
+    ("forecast", CSV_20, "synth = sine"),
+    ("forecast", FAST_SINE, "window = \udcff"),  # not UTF-8
+    ("forecast", FAST_SINE + ["--delta", "nan"], None),
+    ("forecast", FAST_SINE + ["--delta", "inf"], None),
+    ("forecast", FAST_SINE + ["--lr", "nan"], None),
+    ("forecast", FAST_SINE + ["--lr", "inf"], None),
+])
+def test_bad_settings_exit_2(tmp_path, capsys, monkeypatch, task, flags, config):
+    monkeypatch.chdir(tmp_path)
+    csv_path = tmp_path / "s.csv"
+    csv_path.write_text("value\n" + "".join(f"{np.sin(i / 7.0):.6f}\n" for i in range(300)))
+    argv = ["train", "--task", task, "--model", "ExampleModel"]
+    argv += [str(csv_path) if f == "CSV" else f for f in flags]
+    if config is not None:
+        (tmp_path / "run.cfg").write_bytes(
+            config.encode("utf-8", "surrogateescape") + b"\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+_SETTING_KEYS = sorted({k for p in cli._TASK_PRESETS.values() for k in p}
+                       | {"hyper", "task", "metric", "csv_window"})
+_VALUES = st.one_of(
+    st.text(max_size=12), st.integers().map(str), st.floats().map(str),
+    st.sampled_from(["abc", "-1", "1+2", "8+8", "true", "nan", "-inf", "9" * 400,
+                     "units=8", "filters=8+8,units=10", "sine:noise=-1"]),
+)
+_TASKS = st.sampled_from(sorted(cli._TASK_PRESETS))
+
+
+def _key_values(keys):
+    return st.lists(st.tuples(st.one_of(st.sampled_from(keys), st.text(max_size=6)),
+                              _VALUES), max_size=5)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(task=_TASKS, text=st.one_of(
+    st.text(max_size=80),
+    _key_values(_SETTING_KEYS).map(lambda kvs: "\n".join(f"{k} = {v}" for k, v in kvs)),
+))
+@example(task="forecast", text="lr = " + "9" * 400)  # too large for a float
+def test_any_config_text_resolves_or_raises_parameter_error(tmp_path, task, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    args = cli._parser().parse_args(
+        ["train", "--task", task, "--model", "ExampleModel", "--config", str(path)])
+    try:
+        cfg = cli._resolve(args)
+    except ParameterError:
+        return
+    assert set(cfg) == set(cli._TASK_PRESETS[task]) | {"task", "hyper"}
+    for key, preset in cli._TASK_PRESETS[task].items():
+        assert type(cfg[key]) is type(preset)
+
+
+_SYNTH_KEYS = sorted({k for o in cli._SYNTH_OPTIONS.values() for k in o} | {"seed"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(task=_TASKS, spec=st.one_of(
+    st.text(max_size=40),
+    st.tuples(st.sampled_from(sorted(cli._SYNTH_OPTIONS)) | st.text(max_size=6),
+              _key_values(_SYNTH_KEYS)).map(
+        lambda t: t[0] + ":" + ",".join(f"{k}={v}" for k, v in t[1])),
+))
+@example(task="anomaly", spec="traffic:rate=" + "9" * 400)
+def test_any_synth_spec_resolves_or_raises_parameter_error(task, spec):
+    args = cli._parser().parse_args(
+        ["train", "--task", task, "--model", "ExampleModel", f"--synth={spec}"])
+    try:
+        opts = cli._synth_options(cli._resolve(args))
+    except ParameterError:
+        return
+    assert "seed" in opts and "length" in opts
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -273,6 +273,13 @@ def test_labeled_segments_layout():
         labeled_segments(1, 32, 4)
 
 
+def test_sine_mix_rejects_negative_noise():
+    with pytest.raises(ParameterError):
+        sine_mix([0.1], noise=-1.0, length=10)
+    with pytest.raises(ParameterError):
+        sine_mix([0.1], noise=float("nan"), length=10)
+
+
 def test_labeled_segments_rejects_negative_noise():
     with pytest.raises(ParameterError):
         labeled_segments(2, 32, 4, noise=-1.0)

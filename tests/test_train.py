@@ -153,6 +153,12 @@ def test_adam_parameter_validation():
         Adam({"w": np.zeros(1)}, beta2=-0.1)
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_adam_rejects_a_non_finite_lr(lr):
+    with pytest.raises(ParameterError, match="lr must be finite"):
+        Adam({"w": np.zeros(1)}, lr=lr)
+
+
 # ------------------------------------------------------------- early stopping
 
 
@@ -200,6 +206,12 @@ def test_early_stopping_validation():
         EarlyStopping(patience=-1)
     with pytest.raises(ParameterError):
         EarlyStopping(patience=2, min_delta=-0.1)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_early_stopping_rejects_a_non_finite_min_delta(delta):
+    with pytest.raises(ParameterError, match="min_delta must be finite"):
+        EarlyStopping(patience=2, min_delta=delta)
 
 
 # -------------------------------------------------------------------- fit loop

@@ -222,8 +222,10 @@ def sine_mix(freqs: Sequence[float], noise: float, length: int, seed: int = 0,
     amps = list(amplitudes) if amplitudes is not None else [1.0] * len(freqs)
     if len(amps) != len(freqs):
         raise ParameterError("amplitudes must match freqs in length")
-    if not noise >= 0.0:
-        raise ParameterError(f"noise must be >= 0, got {noise}")
+    if not 0.0 <= noise < np.inf:
+        raise ParameterError(f"noise must be finite and >= 0, got {noise}")
+    if not np.isfinite(offset):
+        raise ParameterError(f"offset must be finite, got {offset}")
     t = np.arange(length)
     x = np.full(length, float(offset))
     for f, a in zip(freqs, amps):
@@ -242,8 +244,8 @@ def labeled_segments(classes: int, length: int, count: int, seed: int = 0,
     """
     if classes < 2 or length < 4 or count < 1:
         raise ParameterError("need classes >= 2, length >= 4, count >= 1")
-    if not noise >= 0.0:
-        raise ParameterError(f"noise must be >= 0, got {noise}")
+    if not 0.0 <= noise < np.inf:
+        raise ParameterError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     t = np.arange(length)
     xs = np.empty((classes * count, length, 1))
@@ -297,20 +299,17 @@ def load_csv(path: Union[str, io.IOBase], has_header: bool = True,
              columns: Optional[Sequence[Union[str, int]]] = None) -> Tensor:
     """Read numeric columns from a CSV file into a ``[steps, columns]`` tensor.
 
-    A selected cell that is not a finite number (``nan`` and ``inf`` included)
-    raises :class:`FormatError` naming its file line.
+    A file path is read as UTF-8.  Text that does not decode, or a selected
+    cell that is not a finite number (``nan`` and ``inf`` included), raises
+    :class:`FormatError`; a bad cell's message names its file line.
     """
-    close = False
-    if isinstance(path, str):
-        fh = open(path, "r", newline="")
-        close = True
-    else:
-        fh = path
+    fh = open(path, "r", newline="", encoding="utf-8") if isinstance(path, str) else path
     try:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise FormatError(f"{getattr(fh, 'name', 'CSV input')} is not UTF-8 text") from None
     finally:
-        if close:
+        if fh is not path:
             fh.close()
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:

@@ -6,7 +6,7 @@ class ShapeError(ValueError):
 
 
 class GraphError(ValueError):
-    """A model graph is malformed (cycle, unknown node, duplicate name)."""
+    """A model graph is malformed (a node before its inputs, unknown node, duplicate name)."""
 
 
 class StateError(RuntimeError):

@@ -1,14 +1,14 @@
 """Model graphs: build, static shape inference, forward/backward, weights I/O.
 
 A model is a DAG of named layer nodes over one or more named inputs.  Nodes
-may fan out; gradients from multiple consumers are summed.  Parameters are
-addressed as ``node/param`` and keep a stable order (declaration order, then
-the layer's own parameter order), which the weights file relies on.
+are declared in evaluation order, each after the nodes it reads, and may fan
+out; gradients from multiple consumers are summed.  Parameters are addressed
+as ``node/param`` and keep a stable order (declaration order, then the
+layer's own parameter order), which the weights file relies on.
 """
 
 from __future__ import annotations
 
-import heapq
 import io
 from typing import Optional, Sequence, Union
 
@@ -17,7 +17,7 @@ import numpy as np
 from .container import read_records, write_records
 from .errors import FormatError, GraphError, ShapeError, StateError
 from .layers.base import Layer
-from .layers.subgraph import NodeSpec, backward_nodes, forward_nodes, manifest
+from .layers.subgraph import NodeSpec, backward_nodes, forward_nodes, manifest, walk
 from .tensor import Tensor, as_array
 
 WEIGHTS_MAGIC = b"TSDLW1\x00"
@@ -26,11 +26,10 @@ WEIGHTS_MAGIC = b"TSDLW1\x00"
 class Model:
     """An executable layer DAG.  Construct through :func:`build`."""
 
-    def __init__(self, input_names, input_shapes, nodes, order, shapes, output):
-        self.input_names: list[str] = input_names
+    def __init__(self, input_shapes, nodes, shapes, output):
+        self.input_names: list[str] = list(input_shapes)
         self.input_shapes: dict[str, tuple[int, ...]] = input_shapes
-        self.nodes: dict[str, NodeSpec] = nodes
-        self.order: list[str] = order  # topological evaluation order
+        self.nodes: dict[str, NodeSpec] = nodes  # in evaluation order
         self.node_shapes: dict[str, tuple[int, ...]] = shapes
         self.output: str = output
         self._ctx: Optional[dict] = None
@@ -39,14 +38,19 @@ class Model:
     # -- introspection -------------------------------------------------------
 
     @property
+    def order(self) -> list[str]:
+        """Node names in evaluation (declaration) order."""
+        return list(self.nodes)
+
+    @property
     def output_shape(self) -> tuple[int, ...]:
         return self.node_shapes[self.output]
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return manifest(self.order, self.nodes, "params", "{}/{}".format)
+        return manifest(self.nodes, "params", "{}/{}".format)
 
     def buffers(self) -> dict[str, np.ndarray]:
-        return manifest(self.order, self.nodes, "buffers", "{}/{}".format)
+        return manifest(self.nodes, "buffers", "{}/{}".format)
 
     def state(self) -> dict[str, np.ndarray]:
         """Parameters followed by buffers, in stable order."""
@@ -59,8 +63,8 @@ class Model:
 
     def kind_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for name in self.order:
-            kind = self.nodes[name].layer.kind
+        for spec in self.nodes.values():
+            kind = spec.layer.kind
             counts[kind] = counts.get(kind, 0) + 1
         return counts
 
@@ -90,7 +94,7 @@ class Model:
         """Evaluate the graph.  In training mode, caches for backward are kept."""
         values = self._coerce_inputs(x)
         caches: Optional[dict] = {} if train else None
-        forward_nodes(self.order, self.nodes, values, train, caches)
+        forward_nodes(self.nodes, values, train, caches)
         out = values[self.output]
         if train:
             self._ctx = {"caches": caches, "batch": out.shape[0]}
@@ -107,7 +111,7 @@ class Model:
             raise StateError("backward requires a prior training-mode forward")
         ctx, self._ctx = self._ctx, None
         upstream: dict[str, np.ndarray] = {self.output: as_array(loss_grad)}
-        grads = backward_nodes(self.order, self.nodes, ctx["caches"], upstream, "{}/{}".format)
+        grads = backward_nodes(self.nodes, ctx["caches"], upstream, "{}/{}".format)
         self.last_input_grads = {
             name: upstream.get(name, np.zeros((ctx["batch"], *self.input_shapes[name])))
             for name in self.input_names
@@ -165,69 +169,23 @@ def build(
 ) -> Model:
     """Validate a node list, infer shapes, initialise weights, return a Model.
 
-    ``inputs`` maps entry names to per-sample shapes.  Node evaluation order
-    is the stable topological order (declaration order among ready nodes).
-    A cycle or a reference to an undeclared name raises GraphError.
+    ``inputs`` maps entry names to per-sample shapes.  Nodes are evaluated in
+    declaration order, so each must follow the nodes it reads: a reference to
+    a later node (the only way to declare a cycle) or to an undeclared name
+    raises GraphError.  Node ``i`` initialises from the ``i``-th child of
+    ``SeedSequence(seed)``.  The output defaults to the last node.
     """
     if not inputs:
         raise GraphError("a model needs at least one input")
-    input_names = list(inputs)
     input_shapes = {k: tuple(int(e) for e in v) for k, v in inputs.items()}
-    node_map: dict[str, NodeSpec] = {}
-    for spec in nodes:
-        if spec.name in node_map or spec.name in input_shapes:
-            raise GraphError(f"duplicate node name {spec.name!r}")
-        node_map[spec.name] = spec
-    known = set(input_names) | set(node_map)
-    for spec in nodes:
-        if not spec.inputs:
-            raise GraphError(f"node {spec.name!r} has no inputs")
-        for ref in spec.inputs:
-            if ref not in known:
-                raise GraphError(f"node {spec.name!r} references unknown node {ref!r}")
-
-    # Kahn's algorithm; ties resolved by declaration index, so the
-    # evaluation order is deterministic for a given spec.
-    decl = {name: i for i, name in enumerate(node_map)}
-    deps = {name: {r for r in spec.inputs if r in node_map}
-            for name, spec in node_map.items()}
-    consumers: dict[str, set[str]] = {name: set() for name in node_map}
-    for name, ds in deps.items():
-        for d in ds:
-            consumers[d].add(name)
-    remaining = {name: len(ds) for name, ds in deps.items()}
-    ready = [decl[name] for name, n in remaining.items() if n == 0]
-    heapq.heapify(ready)
-    names_by_decl = list(node_map)
-    order: list[str] = []
-    while ready:
-        name = names_by_decl[heapq.heappop(ready)]
-        order.append(name)
-        for consumer in consumers[name]:
-            remaining[consumer] -= 1
-            if remaining[consumer] == 0:
-                heapq.heappush(ready, decl[consumer])
-    if len(order) != len(node_map):
-        stuck = sorted(set(node_map) - set(order))
-        raise GraphError(f"graph has a cycle involving {stuck}")
-
-    shapes: dict[str, tuple[int, ...]] = dict(input_shapes)
-    seq = np.random.SeedSequence(seed)
-    child_seeds = seq.spawn(len(order))
-    for child, name in zip(child_seeds, order):
-        spec = node_map[name]
-        in_shapes = [shapes[r] for r in spec.inputs]
-        try:
-            shapes[name] = spec.layer.out_shape(in_shapes)
-            spec.layer.bind(in_shapes, np.random.default_rng(child))
-        except ShapeError as exc:
-            raise ShapeError(f"node {name!r}: {exc}") from None
-
+    shapes = dict(input_shapes)
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(len(nodes)))
+    node_map = walk(nodes, shapes, rngs)
     if output is None:
-        output = order[-1] if order else input_names[0]
+        output = list(node_map)[-1] if node_map else list(input_shapes)[0]
     if output not in shapes:
         raise GraphError(f"output {output!r} is not a declared node or input")
-    return Model(input_names, input_shapes, node_map, order, shapes, output)
+    return Model(input_shapes, node_map, shapes, output)
 
 
 class GraphBuilder:

@@ -30,9 +30,6 @@ class SEBlock(Layer):
             raise ParameterError("ratio must be >= 1")
         self.ratio = int(ratio)
 
-    def hyper(self):
-        return {"ratio": self.ratio}
-
     def out_shape(self, in_shapes):
         return self._series(in_shapes)
 
@@ -89,7 +86,6 @@ class RTABlock(Subgraph):
     def __init__(self, filters: int, kernel: int = 3, pool_window: int = 2):
         super().__init__()
         self.filters = int(filters)
-        self.kernel = int(kernel)
         self.pool_window = int(pool_window)
         self.conv1 = Conv1D(filters, kernel, padding="same")
         self.bn1 = BatchNorm1D()
@@ -98,10 +94,6 @@ class RTABlock(Subgraph):
         self.pool = Pool1D(pool_window, pool_window, "max")
         self.conv_a = Conv1D(filters, kernel, padding="same")
         self.bn_a = BatchNorm1D()
-
-    def hyper(self):
-        return {"filters": self.filters, "kernel": self.kernel,
-                "pool_window": self.pool_window}
 
     @property
     def conv_s(self) -> Conv1D | None:
@@ -152,11 +144,6 @@ class SpatialTemporalAttention(Subgraph):
             NodeSpec("gate", ActivationLayer("sigmoid"), ["t"]),
             NodeSpec("out", Multiply(), ["", "gate"]),
         ])
-        self.ratio = int(ratio)
-        self.kernel = int(kernel)
-
-    def hyper(self):
-        return {"ratio": self.ratio, "kernel": self.kernel}
 
 
 class TanhAttention(Layer):
@@ -174,9 +161,6 @@ class TanhAttention(Layer):
         if att_units < 1:
             raise ParameterError("att_units must be >= 1")
         self.att_units = int(att_units)
-
-    def hyper(self):
-        return {"att_units": self.att_units}
 
     def out_shape(self, in_shapes):
         return (self._series(in_shapes)[1],)

@@ -125,40 +125,30 @@ class Layer:
     def _build(self, in_shapes: list[tuple[int, ...]], rng: np.random.Generator):
         pass
 
-    def bind(self, in_shapes, rng: Optional[np.random.Generator] = None):
+    def bind(self, in_shapes, rng: Optional[np.random.Generator] = None) -> tuple[int, ...]:
         """Materialise parameters for the given per-sample input shapes.
 
-        Binding twice with the same shapes is a no-op, so layer instances can
-        be shared between graphs without re-initialising their weights.
+        Returns the output shape.  Binding twice with the same shapes is a
+        no-op, so layer instances can be shared between graphs without
+        re-initialising their weights.
         """
         shapes = [tuple(s) for s in (in_shapes if isinstance(in_shapes, list) else [in_shapes])]
-        self.out_shape(shapes)  # validate before touching state
+        out = self.out_shape(shapes)  # validate before touching state
         if self._in_shapes is not None:
             if shapes != self._in_shapes:
                 raise ShapeError(
                     f"{self.kind} already bound to {self._in_shapes}, got {shapes}"
                 )
-            return self
+            return out
         self._build(shapes, rng if rng is not None else np.random.default_rng(0))
         self._in_shapes = shapes
-        return self
-
-    @property
-    def bound(self) -> bool:
-        return self._in_shapes is not None
+        return out
 
     def forward(self, x, train: bool = False, cache: Optional[dict] = None):
         raise NotImplementedError
 
     def backward(self, upstream, cache: dict):
         raise NotImplementedError
-
-    def param_count(self) -> int:
-        return int(sum(p.size for p in self.params.values()))
-
-    def hyper(self) -> dict:
-        """Constructor-level settings, reported by descriptors and ``describe``."""
-        return {}
 
     def __repr__(self):
         return f"{type(self).__name__}()"

@@ -47,11 +47,6 @@ class Conv1D(Layer):
         self.activation = activation
         self.leaky_slope = float(leaky_slope)
 
-    def hyper(self):
-        return {"filters": self.filters, "kernel": self.kernel,
-                "stride": self.stride, "padding": self.padding,
-                "activation": self.activation}
-
     def _pad_amounts(self, time: int) -> tuple[int, int, int]:
         k, s = self.kernel, self.stride
         if self.padding == "valid":
@@ -131,9 +126,6 @@ class Pool1D(Layer):
         if self.stride < 1:
             raise ParameterError("pool stride must be >= 1")
 
-    def hyper(self):
-        return {"op": self.op, "window": self.window, "stride": self.stride}
-
     def out_shape(self, in_shapes):
         time, ch = self._series(in_shapes)
         if self.op == "global_avg":
@@ -203,9 +195,6 @@ class Dense(Layer):
         self.activation = activation
         self.leaky_slope = float(leaky_slope)
 
-    def hyper(self):
-        return {"units": self.units, "activation": self.activation}
-
     def out_shape(self, in_shapes):
         if len(in_shapes) != 1 or len(in_shapes[0]) != 1:
             raise ShapeError(
@@ -249,9 +238,6 @@ class BatchNorm1D(Layer):
             raise ParameterError("epsilon must be > 0")
         self.momentum = float(momentum)
         self.epsilon = float(epsilon)
-
-    def hyper(self):
-        return {"momentum": self.momentum, "epsilon": self.epsilon}
 
     def out_shape(self, in_shapes):
         if len(in_shapes) != 1 or len(in_shapes[0]) not in (1, 2):
@@ -317,9 +303,6 @@ class Dropout(Layer):
         self.seed = seed
         self._rng = np.random.default_rng(0 if seed is None else int(seed))
 
-    def hyper(self):
-        return {"rate": self.rate}
-
     def _build(self, in_shapes, rng):
         # With no explicit seed the mask stream derives from the graph seed,
         # so whole-model training is reproducible from one number.
@@ -363,9 +346,6 @@ class ActivationLayer(Layer):
         super().__init__()
         self.activation = activation
         self.leaky_slope = float(leaky_slope)
-
-    def hyper(self):
-        return {"activation": self.activation}
 
     def out_shape(self, in_shapes):
         if len(in_shapes) != 1:
@@ -416,9 +396,6 @@ class Reshape(Layer):
         self.target = tuple(int(t) for t in target)
         if any(t < 1 for t in self.target):
             raise ParameterError(f"reshape target must be positive, got {self.target}")
-
-    def hyper(self):
-        return {"target": self.target}
 
     def out_shape(self, in_shapes):
         if len(in_shapes) != 1:
@@ -518,9 +495,6 @@ class Upsample1D(Layer):
         if factor < 1:
             raise ParameterError("upsample factor must be >= 1")
         self.factor = int(factor)
-
-    def hyper(self):
-        return {"factor": self.factor}
 
     def out_shape(self, in_shapes):
         t, c = self._series(in_shapes)

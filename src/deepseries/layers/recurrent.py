@@ -24,9 +24,6 @@ class _Recurrent(Layer):
         self.units = int(units)
         self.return_sequences = bool(return_sequences)
 
-    def hyper(self):
-        return {"units": self.units, "return_sequences": self.return_sequences}
-
     def out_shape(self, in_shapes):
         t, _ = self._series(in_shapes)
         return (t, self.units) if self.return_sequences else (self.units,)
@@ -224,6 +221,3 @@ class Bidirectional(Subgraph):
         nodes.append(NodeSpec("cat", Concat(2), ["fwd", nodes[-1].name]))
         super().__init__(nodes)
         self.kind = "bilstm" if isinstance(inner, LSTM) else "bigru"
-
-    def hyper(self):
-        return self.fwd.hyper()

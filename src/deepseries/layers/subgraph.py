@@ -1,18 +1,19 @@
-"""The executor's node loops, and a layer that runs a node list with them.
+"""The executor's node walk and loops, and a layer that runs a node list with them.
 
-:class:`~deepseries.graph.Model` runs the loops over a whole model and
+:class:`~deepseries.graph.Model` runs them over a whole model and
 :class:`Subgraph` inside one layer, so composite blocks are plain node lists
-with no backward pass of their own.
+with no backward pass of their own.  Nodes run in declaration order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..errors import GraphError
+from ..errors import GraphError, ShapeError
 from .base import Layer
 
 INPUT = "x"
@@ -25,14 +26,47 @@ class NodeSpec:
     inputs: list[str] = field(default_factory=list)
 
 
-def forward_nodes(order: Sequence[str], nodes: dict[str, NodeSpec], values: dict,
-                  train: bool, caches: Optional[dict] = None):
-    """Evaluate ``order`` into ``values``, which holds the graph inputs.
+def walk(specs: Sequence[NodeSpec], shapes: dict,
+         rngs: Optional[Iterator[np.random.Generator]] = None) -> dict[str, NodeSpec]:
+    """Check a node list in declaration order; return it as an ordered dict.
+
+    ``shapes`` holds the graph inputs' per-sample shapes; each node's output
+    shape is added as it is reached.  Every node needs a new name and at
+    least one input, and reads graph inputs or earlier nodes.  With ``rngs``,
+    each layer is bound from the next generator.
+    """
+    declared = {spec.name for spec in specs}
+    nodes: dict[str, NodeSpec] = {}
+    for spec in specs:
+        if spec.name in shapes:
+            raise GraphError(f"duplicate node name {spec.name!r}")
+        if not spec.inputs:
+            raise GraphError(f"node {spec.name!r} has no inputs")
+        for ref in spec.inputs:
+            if ref in shapes:
+                continue
+            if ref in declared:
+                raise GraphError(
+                    f"node {spec.name!r} reads {ref!r}, which is declared after it: "
+                    f"nodes must follow their inputs, so a cycle cannot be declared")
+            raise GraphError(f"node {spec.name!r} references unknown node {ref!r}")
+        ins = [shapes[r] for r in spec.inputs]
+        try:
+            shapes[spec.name] = (spec.layer.out_shape(ins) if rngs is None
+                                 else spec.layer.bind(ins, next(rngs)))
+        except ShapeError as exc:
+            raise ShapeError(f"node {spec.name!r}: {exc}") from None
+        nodes[spec.name] = spec
+    return nodes
+
+
+def forward_nodes(nodes: dict[str, NodeSpec], values: dict, train: bool,
+                  caches: Optional[dict] = None):
+    """Evaluate ``nodes`` in order into ``values``, which holds the graph inputs.
 
     With a ``caches`` dict, each node's backward cache is kept under its name.
     """
-    for name in order:
-        node = nodes[name]
+    for name, node in nodes.items():
         xs = [values[i] for i in node.inputs]
         cache = None
         if caches is not None:
@@ -41,17 +75,16 @@ def forward_nodes(order: Sequence[str], nodes: dict[str, NodeSpec], values: dict
                                           train, cache)
 
 
-def backward_nodes(order: Sequence[str], nodes: dict[str, NodeSpec], caches: dict,
-                   upstream: dict, key: Callable[[str, str], str]) -> dict[str, np.ndarray]:
-    """Reverse mode over ``order``; returns parameter gradients named by ``key``.
+def backward_nodes(nodes: dict[str, NodeSpec], caches: dict, upstream: dict,
+                   key: Callable[[str, str], str]) -> dict[str, np.ndarray]:
+    """Reverse mode over ``nodes``; returns parameter gradients named by ``key``.
 
     ``upstream`` maps the output node to its gradient; on return it holds the
     gradients that reached the graph inputs, summed over fan-out.  A node that
     feeds nothing on the path to the output gets zero parameter gradients.
     """
     grads: dict[str, np.ndarray] = {}
-    for name in reversed(order):
-        node = nodes[name]
+    for name, node in reversed(nodes.items()):
         up = upstream.pop(name, None)
         pgrads = {}
         if up is not None:
@@ -66,10 +99,11 @@ def backward_nodes(order: Sequence[str], nodes: dict[str, NodeSpec], caches: dic
     return grads
 
 
-def manifest(order: Sequence[str], nodes: dict[str, NodeSpec], attr: str,
+def manifest(nodes: dict[str, NodeSpec], attr: str,
              key: Callable[[str, str], str]) -> dict[str, np.ndarray]:
     """Every node's ``params`` or ``buffers`` (``attr``) in order, named by ``key``."""
-    return {key(n, k): v for n in order for k, v in getattr(nodes[n].layer, attr).items()}
+    return {key(n, k): v for n, spec in nodes.items()
+            for k, v in getattr(spec.layer, attr).items()}
 
 
 def _alias(node: str, name: str) -> str:
@@ -93,52 +127,32 @@ class Subgraph(Layer):
         super().__init__()
         self._specs = list(nodes)
         self.nodes: dict[str, NodeSpec] = {}
-        self.order: list[str] = []
-        self._walked = None  # (in_shape, _walk result) of the last successful walk
 
     def _nodes(self, in_shape) -> list[NodeSpec]:
         return self._specs
 
-    def _walk(self, in_shape):
-        """The node list with each node's input shapes, and the output shape.
-
-        Building asks for it three times (``out_shape`` from the graph and
-        from ``bind``, then ``_build``), so the last result is kept.
-        """
-        in_shape = tuple(in_shape)
-        if self._walked is not None and self._walked[0] == in_shape:
-            return self._walked[1]
-        shapes = {INPUT: in_shape}
-        steps = []
-        for spec in self._nodes(shapes[INPUT]):
-            if spec.name in shapes or not spec.inputs or not set(spec.inputs) <= shapes.keys():
-                raise GraphError(f"node {spec.name!r} must be new and read 'x' or "
-                                 f"earlier nodes, got {spec.inputs}")
-            ins = [shapes[r] for r in spec.inputs]
-            shapes[spec.name] = spec.layer.out_shape(ins)
-            steps.append((spec, ins))
-        if not steps:
+    def _walk(self, in_shape, rngs=None) -> tuple[dict[str, NodeSpec], tuple[int, ...]]:
+        """The checked node dict and the output shape."""
+        shapes = {INPUT: tuple(in_shape)}
+        nodes = walk(self._nodes(shapes[INPUT]), shapes, rngs)
+        if not nodes:
             raise GraphError("a subgraph needs at least one node")
-        self._walked = (in_shape, (steps, shapes[spec.name]))
-        return self._walked[1]
+        return nodes, shapes[next(reversed(nodes))]
 
     def out_shape(self, in_shapes):
         return self._walk(self._series(in_shapes))[1]
 
     def _build(self, in_shapes, rng):
-        for spec, ins in self._walk(in_shapes[0])[0]:
-            spec.layer.bind(ins, rng)
-            self.nodes[spec.name] = spec
-        self.order = list(self.nodes)
-        self.params = manifest(self.order, self.nodes, "params", _alias)
-        self.buffers = manifest(self.order, self.nodes, "buffers", _alias)
+        self.nodes = self._walk(in_shapes[0], itertools.repeat(rng))[0]
+        self.params = manifest(self.nodes, "params", _alias)
+        self.buffers = manifest(self.nodes, "buffers", _alias)
 
     def forward(self, x, train=False, cache=None):
         values = {INPUT: x}
-        forward_nodes(self.order, self.nodes, values, train, cache)
-        return values[self.order[-1]]
+        forward_nodes(self.nodes, values, train, cache)
+        return values[next(reversed(self.nodes))]
 
     def backward(self, upstream, cache):
-        up = {self.order[-1]: upstream}
-        grads = backward_nodes(self.order, self.nodes, cache, up, _alias)
+        up = {next(reversed(self.nodes)): upstream}
+        grads = backward_nodes(self.nodes, cache, up, _alias)
         return up[INPUT], grads

@@ -163,6 +163,13 @@ def make_top(kind: str, *, horizon: int = 0, features: int = 0, classes: int = 0
 # name.  ``h`` is the merged hyperparameter dict.
 
 
+def _filters(h, n: int) -> list:
+    """``h["filters"]`` for a builder that reads it by position: ``n`` values."""
+    if len(h["filters"]) != n:
+        raise ParameterError(f"filters must list {n} values, got {list(h['filters'])}")
+    return h["filters"]
+
+
 def _conv_pool_chain(b, cur, h, *, relu=True, pool_after_each=True,
                      first_kernel=None, prefix=""):
     act = "relu" if relu else "linear"
@@ -234,9 +241,10 @@ def _khan_zulfiqar(b, inp, h):
 
 
 def _kim_tae_young(b, inp, h):
-    cur = b.add("conv1", Conv1D(h["filters"][0], h["kernel"], activation="relu"), inp[0])
+    f1, f2 = _filters(h, 2)
+    cur = b.add("conv1", Conv1D(f1, h["kernel"], activation="relu"), inp[0])
     cur = b.add("pool1", Pool1D(h["pool"]), cur)
-    cur = b.add("conv2", Conv1D(h["filters"][1], h["kernel"], activation="relu"), cur)
+    cur = b.add("conv2", Conv1D(f2, h["kernel"], activation="relu"), cur)
     return b.add("lstm", LSTM(h["units"]), cur)
 
 
@@ -252,10 +260,10 @@ def _oh_shu_lih(b, inp, h):
 
 
 def _shi_haotian(b, inp, h):
+    (f,) = _filters(h, 1)
     branches = []
     for i, x in enumerate(inp):
-        y = b.add(f"branch{i + 1}_conv",
-                  Conv1D(h["filters"][0], h["kernel"], activation="relu"), x)
+        y = b.add(f"branch{i + 1}_conv", Conv1D(f, h["kernel"], activation="relu"), x)
         y = b.add(f"branch{i + 1}_pool", Pool1D(h["pool"]), y)
         branches.append(y)
     cur = b.add("concat", Concat(len(branches)), branches)
@@ -285,11 +293,12 @@ def _wei_xiaoyan(b, inp, h):
 def _yao_qihang(b, inp, h):
     cur = inp[0]
     idx = 0
-    for bi, depth in enumerate(h["block_convs"]):
+    filters = _filters(h, len(h["block_convs"]))
+    for bi, (f, depth) in enumerate(zip(filters, h["block_convs"])):
         for _ in range(depth):
             idx += 1
             k = h["first_kernel"] if idx == 1 else h["kernel"]
-            cur = b.add(f"conv{idx}", Conv1D(h["filters"][bi], k), cur)
+            cur = b.add(f"conv{idx}", Conv1D(f, k), cur)
             cur = b.add(f"bn{idx}", BatchNorm1D(), cur)
             cur = b.add(f"act{idx}", ActivationLayer("relu"), cur)
         cur = b.add(f"pool{bi + 1}", Pool1D(h["pool"]), cur)
@@ -318,10 +327,11 @@ def _yildirim_encoder(b, x, h, enc=None):
 
 
 def _yildirim_encoder_layers(h):
+    f1, f2 = _filters(h, 2)
     return {
-        "conv1": Conv1D(h["filters"][0], h["kernel"], padding="same", activation="relu"),
+        "conv1": Conv1D(f1, h["kernel"], padding="same", activation="relu"),
         "pool1": Pool1D(h["pool"]),
-        "conv2": Conv1D(h["filters"][1], h["kernel"], padding="same", activation="relu"),
+        "conv2": Conv1D(f2, h["kernel"], padding="same", activation="relu"),
         "pool2": Pool1D(h["pool"]),
     }
 
@@ -664,8 +674,9 @@ def build_model(name: str, input_shape=(1000, 1), top: Optional[TopModule] = Non
     except ShapeError as exc:
         minimum = None
         try:
-            minimum = minimum_input_length(name, int(input_shape[1]), **hyper)
-        except (ShapeError, ParameterError, IndexError, TypeError):
+            if len(input_shape) == 2:  # a series too short, not a malformed shape
+                minimum = minimum_input_length(name, int(input_shape[1]), **hyper)
+        except (ShapeError, ParameterError, TypeError):
             pass
         if minimum is not None and input_shape[0] < minimum:
             raise ShapeError(

@@ -63,6 +63,15 @@ def test_describe_rejects_mistyped_hyper(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name,filters", [("YaoQihang", "16+16"),
+                                          ("KimTaeYoung", "16+32+64")])
+def test_describe_rejects_filters_of_the_wrong_length(capsys, name, filters):
+    code, _, err = run_cli(["describe", name, "--hyper", f"filters={filters}"], capsys)
+    assert code == 2
+    assert err.startswith("error: filters must list ")
+    assert "Traceback" not in err
+
+
 def test_describe_unknown_model_is_usage_error(capsys):
     code, _, err = run_cli(["describe", "NoSuchNet"], capsys)
     assert code == 2
@@ -330,6 +339,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ("classify", "segments:count=abc"),
     ("classify", "segments:noise=-1"),
     ("forecast", "sine:noise=-1"),
+    ("forecast", "sine:length=300,noise=inf"),
+    ("forecast", "sine:length=300,offset=nan"),
+    ("classify", "segments:noise=inf,count=10"),
 ])
 def test_bad_synth_options_exit_2(tmp_path, capsys, task, spec):
     code, _, err = run_cli(
@@ -486,6 +498,19 @@ def test_non_finite_csv_cell_exits_4(tmp_path, capsys):
     )
     assert code == 4
     assert "error: line 302: 'inf' is not a finite number" in err
+
+
+def test_csv_that_is_not_utf8_exits_4(tmp_path, capsys):
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"value\n1\n\xff\n2\n")
+    code, _, err = run_cli(
+        ["train", "--task", "forecast", "--model", "ExampleModel",
+         "--csv", str(bad), "--out", str(tmp_path / "x")],
+        capsys,
+    )
+    assert code == 4
+    assert err.startswith("error: ") and "latin.csv is not UTF-8 text" in err
+    assert "Traceback" not in err
 
 
 def test_anomaly_with_no_anomalies_exits_4(tmp_path, capsys):

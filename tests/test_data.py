@@ -287,6 +287,17 @@ def test_labeled_segments_rejects_negative_noise():
         labeled_segments(2, 32, 4, noise=float("nan"))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sine_mix([0.1], noise=float("inf"), length=10),
+    lambda: sine_mix([0.1], noise=0.0, length=10, offset=float("nan")),
+    lambda: sine_mix([0.1], noise=0.0, length=10, offset=float("-inf")),
+    lambda: labeled_segments(2, 32, 4, noise=float("inf")),
+], ids=["sine_noise_inf", "sine_offset_nan", "sine_offset_inf", "segments_noise_inf"])
+def test_synth_generators_reject_non_finite_options(make):
+    with pytest.raises(ParameterError, match="must be finite"):
+        make()
+
+
 def test_labeled_segments_classes_are_separable():
     ds = labeled_segments(classes=2, length=64, count=3, seed=1, noise=0.01)
     xs = np.asarray(ds.inputs.array)
@@ -377,6 +388,16 @@ def test_load_csv_rejects_non_finite_cells():
     # a non-finite cell in a column that is not selected is not read
     np.testing.assert_array_equal(
         load_csv(io.StringIO("a,b\n1,nan\n"), columns=["a"]).array, [[1.0]])
+
+
+def test_load_csv_reads_files_as_utf8(tmp_path):
+    good = tmp_path / "good.csv"
+    good.write_bytes("größe\n1\n".encode("utf-8"))
+    np.testing.assert_array_equal(load_csv(str(good), columns=["größe"]).array, [[1.0]])
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"value\n1\n\xff\n2\n")
+    with pytest.raises(FormatError, match=r"bad\.csv is not UTF-8 text"):
+        load_csv(str(bad))
 
 
 # --------------------------------------------------------------- dataset cache

@@ -44,14 +44,14 @@ def test_topological_order_follows_declaration_on_ties():
     assert m.order == ["a", "c_first", "b_second", "join"]
 
 
-def test_declared_late_used_early_still_sorts():
-    # Node list order need not be topological; sorting fixes it up.
+def test_forward_reference_rejected():
+    # Nodes run in declaration order, so a node must follow its inputs.
     nodes = [
         NodeSpec("second", ActivationLayer("relu"), ["first"]),
         NodeSpec("first", ActivationLayer("tanh"), ["x"]),
     ]
-    m = build({"x": (4, 1)}, nodes, output="second")
-    assert m.order == ["first", "second"]
+    with pytest.raises(GraphError, match="node 'second' reads 'first'.*follow"):
+        build({"x": (4, 1)}, nodes, output="second")
 
 
 def test_duplicate_node_name_rejected():

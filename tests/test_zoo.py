@@ -19,6 +19,8 @@ from deepseries.zoo import (
     make_top,
     minimum_input_length,
 )
+from conftest import fd_gradcheck
+from test_gradients import TOL
 
 PAPER_NAMES = [
     "CaiWenjuan", "ChenChen", "FuJiangmeng", "GaoJunli", "GenMinxing",
@@ -110,6 +112,18 @@ def test_weights_manifest_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST_SHA256[name]
 
 
+@pytest.mark.parametrize("name", zoo.names())
+def test_whole_model_gradients(name):
+    # Backprop through the whole graph, subgraph blocks included, against
+    # central differences; dropout is off so repeated passes agree.
+    hyper = {"dropout": 0.0} if name == "KhanZulfiqar" else {}
+    t = max(minimum_input_length(name), 16)
+    model = build_model(name, (t, 1), top=make_top("classify", classes=3, dropout=0.0),
+                        **hyper)
+    worst = fd_gradcheck(model, model.input_shapes, h=1e-6, batch=2, probes=1)
+    assert worst < TOL, f"{name}: worst relative error {worst:.3e}"
+
+
 @pytest.mark.parametrize("name", PAPER_NAMES)
 def test_capability_table(name):
     fams = get_descriptor(name).families
@@ -162,6 +176,23 @@ def test_hyper_override_types_follow_defaults():
     assert build_model("ExampleModel", (64, 1), units=np.int64(8)).output_shape == (8,)
     build_model("ExampleModel", (64, 1), filters=(8, 8))
     build_model("KhanZulfiqar", (64, 1), dropout=0)
+
+
+@pytest.mark.parametrize("build,n", [
+    (lambda: build_model("YaoQihang", (256, 1), filters=[16, 16]), 5),
+    (lambda: build_model("YaoQihang", (256, 1), filters=[8] * 6), 5),
+    (lambda: build_model("KimTaeYoung", (64, 1), filters=[16]), 2),
+    (lambda: build_model("KimTaeYoung", (64, 1), filters=[16, 32, 64]), 2),
+    (lambda: build_model("YildirimOzal", (64, 1), filters=[16]), 2),
+    (lambda: build_autoencoder_pair((64, 1), filters=[16, 32, 64]), 2),
+    (lambda: build_model("ShiHaotian", (64, 1), filters=[]), 1),
+    (lambda: build_model("ShiHaotian", (64, 1), filters=[16, 32]), 1),
+], ids=["yao_short", "yao_long", "kim_short", "kim_long", "yildirim_short",
+        "autoencoder_long", "shi_empty", "shi_long"])
+def test_positional_filters_need_their_length(build, n):
+    # These builders read filters by position, so any other length is an error.
+    with pytest.raises(ParameterError, match=f"filters must list {n} values"):
+        build()
 
 
 def test_bad_input_shape():

@@ -100,18 +100,27 @@ def zscore(segment) -> Tensor:
     return Tensor((a - mean) / std)
 
 
-def chrono_split(series, fractions: Sequence[float] = (0.7, 0.2, 0.1)):
-    """Contiguous train/val/test split; the rounding remainder goes to test."""
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) <= 0:
+def _split_sizes(n: int, fractions: Sequence[float], what: str) -> tuple[int, int]:
+    """Train and validation sizes of a three-way split of ``n`` ``what``.
+
+    The rounding remainder goes to test; bad fractions raise
+    ParameterError, a split with an empty part DataError.
+    """
+    # written so that a NaN fraction fails the test
+    if len(fractions) != 3 or not (all(f > 0 for f in fractions)
+                                   and abs(sum(fractions) - 1.0) <= 1e-9):
         raise ParameterError(f"fractions must be three positives summing to 1, got {fractions}")
-    a = _series(series)
-    n = a.shape[0]
-    if n < 3:
-        raise DataError(f"cannot split a series of {n} steps three ways")
     n_train = int(n * fractions[0])
     n_val = int(n * fractions[1])
     if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
-        raise DataError(f"split of {n} steps produced an empty part")
+        raise DataError(f"split of {n} {what} into {tuple(fractions)} produced an empty part")
+    return n_train, n_val
+
+
+def chrono_split(series, fractions: Sequence[float] = (0.7, 0.2, 0.1)):
+    """Contiguous train/val/test split; the rounding remainder goes to test."""
+    a = _series(series)
+    n_train, n_val = _split_sizes(a.shape[0], fractions, "steps")
     return (
         Tensor(a[:n_train]),
         Tensor(a[n_train : n_train + n_val]),
@@ -151,15 +160,8 @@ def split_pairs(dataset: SeriesDataset, fractions=(0.7, 0.2, 0.1),
                 seed: Optional[int] = None):
     """Split window/segment pairs three ways, optionally shuffling first."""
     n = dataset.n
-    if n < 3:
-        raise DataError(f"cannot split {n} pairs three ways")
-    idx = np.arange(n)
-    if seed is not None:
-        idx = np.random.default_rng(seed).permutation(n)
-    n_train = int(n * fractions[0])
-    n_val = int(n * fractions[1])
-    if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
-        raise DataError(f"split of {n} pairs produced an empty part")
+    n_train, n_val = _split_sizes(n, fractions, "pairs")
+    idx = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)
     return (
         dataset.take(idx[:n_train]),
         dataset.take(idx[n_train : n_train + n_val]),
@@ -299,11 +301,12 @@ def load_csv(path: Union[str, io.IOBase], has_header: bool = True,
              columns: Optional[Sequence[Union[str, int]]] = None) -> Tensor:
     """Read numeric columns from a CSV file into a ``[steps, columns]`` tensor.
 
-    A file path is read as UTF-8.  Text that does not decode, or a selected
-    cell that is not a finite number (``nan`` and ``inf`` included), raises
-    :class:`FormatError`; a bad cell's message names its file line.
+    A file path is read as UTF-8, dropping a leading byte-order mark.  Text
+    that does not decode, or a selected cell that is not a finite number
+    (``nan`` and ``inf`` included), raises :class:`FormatError`; a bad
+    cell's message names its file line.
     """
-    fh = open(path, "r", newline="", encoding="utf-8") if isinstance(path, str) else path
+    fh = open(path, "r", newline="", encoding="utf-8-sig") if isinstance(path, str) else path
     try:
         rows = list(csv.reader(fh))
     except UnicodeDecodeError:

@@ -1,10 +1,7 @@
 """Differentiable layer set for 1-D time-series models."""
 
 from .base import (
-    ACTIVATIONS,
     Layer,
-    apply_activation,
-    activation_backward,
     fan_uniform,
     recurrent_uniform,
     sigmoid,
@@ -27,10 +24,7 @@ from .recurrent import GRU, LSTM, Bidirectional
 from .attention import RTABlock, SEBlock, SpatialTemporalAttention, TanhAttention
 
 __all__ = [
-    "ACTIVATIONS",
     "Layer",
-    "apply_activation",
-    "activation_backward",
     "fan_uniform",
     "recurrent_uniform",
     "sigmoid",

@@ -91,7 +91,7 @@ class RTABlock(Subgraph):
         self.bn1 = BatchNorm1D()
         self.conv2 = Conv1D(filters, kernel, padding="same")
         self.bn2 = BatchNorm1D()
-        self.pool = Pool1D(pool_window, pool_window, "max")
+        self.pool = Pool1D(pool_window)
         self.conv_a = Conv1D(filters, kernel, padding="same")
         self.bn_a = BatchNorm1D()
 

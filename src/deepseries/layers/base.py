@@ -7,7 +7,7 @@ instance can safely appear in more than one model graph.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,43 +33,32 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-ACTIVATIONS = ("linear", "relu", "leaky_relu", "sigmoid", "tanh", "softmax")
+LEAKY_SLOPE = 0.01
+
+# name -> (forward, backward).  Each backward maps the upstream gradient and
+# the activation output ``a`` to the gradient at the input: relu and leaky
+# relu are positive exactly where their input is, so ``a > 0`` masks as
+# ``z > 0`` would (NaN included).
+_ACTIVATIONS = {
+    "linear": (lambda z: z, lambda da, a: da),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda da, a: da * (a > 0.0)),
+    "leaky_relu": (lambda z: np.where(z > 0.0, z, LEAKY_SLOPE * z),
+                   lambda da, a: da * np.where(a > 0.0, 1.0, LEAKY_SLOPE)),
+    "sigmoid": (sigmoid, lambda da, a: da * a * (1.0 - a)),
+    "tanh": (np.tanh, lambda da, a: da * (1.0 - a * a)),
+    # row Jacobian: dz_i = a_i * (da_i - sum_j da_j a_j)
+    "softmax": (softmax, lambda da, a: a * (da - (da * a).sum(axis=-1, keepdims=True))),
+}
 
 
-def apply_activation(name: str, z: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    if name == "linear":
-        return z
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "leaky_relu":
-        return np.where(z > 0.0, z, slope * z)
-    if name == "sigmoid":
-        return sigmoid(z)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "softmax":
-        return softmax(z)
-    raise ParameterError(f"unknown activation {name!r}")
-
-
-def activation_backward(
-    name: str, da: np.ndarray, z: np.ndarray, a: np.ndarray, slope: float = 0.01
-) -> np.ndarray:
-    """Gradient through an activation given upstream ``da`` and cached ``z``/``a``."""
-    if name == "linear":
-        return da
-    if name == "relu":
-        return da * (z > 0.0)
-    if name == "leaky_relu":
-        return da * np.where(z > 0.0, 1.0, slope)
-    if name == "sigmoid":
-        return da * a * (1.0 - a)
-    if name == "tanh":
-        return da * (1.0 - a * a)
-    if name == "softmax":
-        # Row Jacobian: dz_i = a_i * (da_i - sum_j da_j a_j)
-        return a * (da - (da * a).sum(axis=-1, keepdims=True))
-    raise ParameterError(f"unknown activation {name!r}")
+def activation_pair(name: str) -> tuple[Callable, Callable]:
+    """The ``(forward, backward)`` pair for an activation name."""
+    try:
+        return _ACTIVATIONS[name]
+    except KeyError:
+        raise ParameterError(
+            f"unknown activation {name!r}; expected one of {sorted(_ACTIVATIONS)}"
+        ) from None
 
 
 # -- initialisers ------------------------------------------------------------

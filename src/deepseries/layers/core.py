@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DegenerateBatchError, ParameterError, ShapeError
-from .base import Layer, activation_backward, apply_activation, fan_uniform
+from .base import Layer, activation_pair, fan_uniform
 
 PADDINGS = ("valid", "same", "full")
 
@@ -22,48 +22,42 @@ PADDINGS = ("valid", "same", "full")
 class Conv1D(Layer):
     """1-D convolution (cross-correlation, no kernel flip) over the time axis.
 
-    Kernel shape is ``[kernel, in_channels, filters]``.  Output length:
+    Kernel shape is ``[kernel, in_channels, filters]``; the kernel moves one
+    step at a time.  Output length:
 
-    * ``valid``: ``floor((time - kernel) / stride) + 1``
-    * ``same``:  ``ceil(time / stride)`` (zero padding split left/right,
-      the extra unit on the right)
-    * ``full``:  zero-pad ``kernel - 1`` on both sides, then valid.
+    * ``valid``: ``time - kernel + 1``
+    * ``same``:  ``time`` (``kernel - 1`` zeros split left/right, the extra
+      one on the right)
+    * ``full``:  ``time + kernel - 1`` (``kernel - 1`` zeros on both sides)
     """
 
     kind = "conv1d"
 
-    def __init__(self, filters: int, kernel: int, stride: int = 1,
-                 padding: str = "valid", activation: str = "linear",
-                 leaky_slope: float = 0.01):
+    def __init__(self, filters: int, kernel: int, padding: str = "valid",
+                 activation: str = "linear"):
         super().__init__()
-        if filters < 1 or kernel < 1 or stride < 1:
-            raise ParameterError("filters, kernel and stride must be >= 1")
+        if filters < 1 or kernel < 1:
+            raise ParameterError("filters and kernel must be >= 1")
         if padding not in PADDINGS:
             raise ParameterError(f"padding must be one of {PADDINGS}, got {padding!r}")
         self.filters = int(filters)
         self.kernel = int(kernel)
-        self.stride = int(stride)
         self.padding = padding
-        self.activation = activation
-        self.leaky_slope = float(leaky_slope)
+        self._act, self._act_grad = activation_pair(activation)
 
-    def _pad_amounts(self, time: int) -> tuple[int, int, int]:
-        k, s = self.kernel, self.stride
+    def _pad_amounts(self) -> tuple[int, int]:
+        k = self.kernel
         if self.padding == "valid":
-            if time < k:
-                raise ShapeError(f"time {time} shorter than kernel {k}")
-            return 0, 0, (time - k) // s + 1
+            return 0, 0
         if self.padding == "full":
-            return k - 1, k - 1, (time + k - 2) // s + 1
-        t_out = -(-time // s)  # ceil
-        total = max((t_out - 1) * s + k - time, 0)
-        before = total // 2
-        return before, total - before, t_out
+            return k - 1, k - 1
+        return (k - 1) // 2, k // 2
 
     def out_shape(self, in_shapes):
         time, _ = self._series(in_shapes)
-        _, _, t_out = self._pad_amounts(time)
-        return (t_out, self.filters)
+        if self.padding == "valid" and time < self.kernel:
+            raise ShapeError(f"time {time} shorter than kernel {self.kernel}")
+        return (time + sum(self._pad_amounts()) - self.kernel + 1, self.filters)
 
     def _build(self, in_shapes, rng):
         _, ch = in_shapes[0]
@@ -72,59 +66,52 @@ class Conv1D(Layer):
         self.params["b"] = np.zeros(f)
 
     def forward(self, x, train=False, cache=None):
-        k, s = self.kernel, self.stride
-        before, after, t_out = self._pad_amounts(x.shape[1])
+        before, after = self._pad_amounts()
         xp = np.pad(x, ((0, 0), (before, after), (0, 0))) if before or after else x
         # windows: [batch, t_out, channels, kernel]
-        win = sliding_window_view(xp, k, axis=1)[:, ::s][:, :t_out]
+        win = sliding_window_view(xp, self.kernel, axis=1)
         z = np.tensordot(win, self.params["w"], axes=([3, 2], [0, 1])) + self.params["b"]
-        a = apply_activation(self.activation, z, self.leaky_slope)
+        a = self._act(z)
         if cache is not None:
-            cache.update(win=win, z=z, a=a, pad=(before, after), in_time=x.shape[1])
+            cache.update(win=win, a=a, in_time=x.shape[1])
         return a
 
     def backward(self, upstream, cache):
-        k, s = self.kernel, self.stride
-        win, z, a = cache["win"], cache["z"], cache["a"]
-        before, _after = cache["pad"]
-        dz = activation_backward(self.activation, upstream, z, a, self.leaky_slope)
+        dz = self._act_grad(upstream, cache["a"])
         t_out = dz.shape[1]
-        dw = np.tensordot(win, dz, axes=([0, 1], [0, 1]))  # [ch, k, f]
+        dw = np.tensordot(cache["win"], dz, axes=([0, 1], [0, 1]))  # [ch, k, f]
         dw = dw.transpose(1, 0, 2)
         db = dz.sum(axis=(0, 1))
         w = self.params["w"]
-        padded_time = cache["in_time"] + sum(cache["pad"])
-        dxp = np.zeros((dz.shape[0], padded_time, w.shape[1]))
-        for j in range(k):
-            dxp[:, j : j + s * t_out : s] += dz @ w[j].T
+        before, _ = self._pad_amounts()
+        dxp = np.zeros((dz.shape[0], t_out + self.kernel - 1, w.shape[1]))
+        for j in range(self.kernel):
+            dxp[:, j : j + t_out] += dz @ w[j].T
         dx = dxp[:, before : before + cache["in_time"]]
         return dx, {"w": dw, "b": db}
 
 
 class Pool1D(Layer):
-    """Max, average, or global-average pooling over the time axis.
+    """Max pooling over non-overlapping time windows, or global average.
 
-    ``max`` compares the window offsets pairwise with ``np.maximum``, so a
-    NaN anywhere in a window gives NaN.  Backward routes each window's
-    gradient to the first maximal position (strict ``>``, so the first of
-    tied maxima wins); with ``stride >= window`` each input belongs to at
-    most one window and the gradient is scattered directly, while
-    overlapping windows accumulate through ``np.add.at``.
+    ``max`` windows tile the time axis (stride = window; a remainder shorter
+    than the window is dropped) and are compared pairwise with
+    ``np.maximum``, so a NaN anywhere in a window gives NaN.  Backward routes
+    each window's gradient to the first maximal position (strict ``>``, so
+    the first of tied maxima wins).  ``global_avg`` averages the whole time
+    axis away.
     """
 
     kind = "pool1d"
 
-    def __init__(self, window: int = 2, stride: Optional[int] = None, op: str = "max"):
+    def __init__(self, window: int = 2, op: str = "max"):
         super().__init__()
-        if op not in ("max", "avg", "global_avg"):
-            raise ParameterError(f"pool op must be max|avg|global_avg, got {op!r}")
-        if op != "global_avg" and window < 1:
+        if op not in ("max", "global_avg"):
+            raise ParameterError(f"pool op must be max|global_avg, got {op!r}")
+        if op == "max" and window < 1:
             raise ParameterError("pool window must be >= 1")
         self.op = op
         self.window = int(window)
-        self.stride = int(stride) if stride is not None else int(window)
-        if self.stride < 1:
-            raise ParameterError("pool stride must be >= 1")
 
     def out_shape(self, in_shapes):
         time, ch = self._series(in_shapes)
@@ -132,53 +119,34 @@ class Pool1D(Layer):
             return (ch,)
         if time < self.window:
             raise ShapeError(f"time {time} shorter than pool window {self.window}")
-        return ((time - self.window) // self.stride + 1, ch)
+        return (time // self.window, ch)
 
     def forward(self, x, train=False, cache=None):
         if self.op == "global_avg":
-            out = x.mean(axis=1)
             if cache is not None:
                 cache.update(in_shape=x.shape)
-            return out
-        w, s = self.window, self.stride
-        t_out = (x.shape[1] - w) // s + 1
-        if self.op == "max":
-            stop = s * (t_out - 1) + 1
-            out = x[:, :stop:s]  # offset j of every window is x[:, j : j + stop : s]
-            arg = None if cache is None else np.zeros(out.shape, np.min_scalar_type(w - 1))
-            for j in range(1, w):
-                cand = x[:, j : j + stop : s]
-                if arg is not None:
-                    arg[cand > out] = j
-                out = np.maximum(out, cand)
-            if cache is not None:
-                cache.update(arg=arg, in_shape=x.shape)
-            return out
-        win = sliding_window_view(x, w, axis=1)[:, ::s][:, :t_out]  # [b,t',c,w]
-        out = win.mean(axis=3)
+            return x.mean(axis=1)
+        w = self.window
+        stop = w * (x.shape[1] // w - 1) + 1
+        out = x[:, :stop:w]  # offset j of every window is x[:, j : j + stop : w]
+        arg = None if cache is None else np.zeros(out.shape, np.min_scalar_type(w - 1))
+        for j in range(1, w):
+            cand = x[:, j : j + stop : w]
+            if arg is not None:
+                arg[cand > out] = j
+            out = np.maximum(out, cand)
         if cache is not None:
-            cache.update(in_shape=x.shape)
+            cache.update(arg=arg, in_shape=x.shape)
         return out
 
     def backward(self, upstream, cache):
         in_shape = cache["in_shape"]
         if self.op == "global_avg":
-            dx = np.broadcast_to(upstream[:, None, :] / in_shape[1], in_shape).copy()
-            return dx, {}
-        w, s = self.window, self.stride
-        b, t_out, c = upstream.shape
+            return np.broadcast_to(upstream[:, None, :] / in_shape[1], in_shape).copy(), {}
+        w = self.window
+        at = np.arange(0, w * upstream.shape[1], w)[:, None] + cache["arg"]  # input time index
         dx = np.zeros(in_shape)
-        if self.op == "max":
-            at = np.arange(0, s * t_out, s)[:, None] + cache["arg"]  # input time index
-            if s >= w:
-                np.put_along_axis(dx, at, upstream, axis=1)
-            else:
-                bi, _, ci = np.ogrid[:b, :t_out, :c]
-                np.add.at(dx, (bi, at, ci), upstream)
-        else:
-            share = upstream / w
-            for j in range(w):
-                dx[:, j : j + s * t_out : s] += share
+        np.put_along_axis(dx, at, upstream, axis=1)
         return dx, {}
 
 
@@ -187,13 +155,12 @@ class Dense(Layer):
 
     kind = "dense"
 
-    def __init__(self, units: int, activation: str = "linear", leaky_slope: float = 0.01):
+    def __init__(self, units: int, activation: str = "linear"):
         super().__init__()
         if units < 1:
             raise ParameterError("units must be >= 1")
         self.units = int(units)
-        self.activation = activation
-        self.leaky_slope = float(leaky_slope)
+        self._act, self._act_grad = activation_pair(activation)
 
     def out_shape(self, in_shapes):
         if len(in_shapes) != 1 or len(in_shapes[0]) != 1:
@@ -208,15 +175,14 @@ class Dense(Layer):
         self.params["b"] = np.zeros(self.units)
 
     def forward(self, x, train=False, cache=None):
-        z = x @ self.params["w"] + self.params["b"]
-        a = apply_activation(self.activation, z, self.leaky_slope)
+        a = self._act(x @ self.params["w"] + self.params["b"])
         if cache is not None:
-            cache.update(x=x, z=z, a=a)
+            cache.update(x=x, a=a)
         return a
 
     def backward(self, upstream, cache):
-        x, z, a = cache["x"], cache["z"], cache["a"]
-        dz = activation_backward(self.activation, upstream, z, a, self.leaky_slope)
+        x = cache["x"]
+        dz = self._act_grad(upstream, cache["a"])
         return dz @ self.params["w"].T, {"w": x.T @ dz, "b": dz.sum(axis=0)}
 
 
@@ -224,20 +190,14 @@ class BatchNorm1D(Layer):
     """Per-channel batch normalisation for vectors or time series.
 
     Statistics are taken over the batch axis (and time axis for rank-3
-    input).  Running buffers move as ``run <- (1 - momentum) * run +
-    momentum * batch`` and are only touched in training mode.
+    input) and normalise as ``(x - mean) / sqrt(var + epsilon)``.  Running
+    buffers move as ``run <- (1 - momentum) * run + momentum * batch`` and
+    are only touched in training mode.
     """
 
     kind = "batchnorm"
-
-    def __init__(self, momentum: float = 0.01, epsilon: float = 1e-3):
-        super().__init__()
-        if not (0.0 < momentum < 1.0):
-            raise ParameterError("momentum must lie in (0, 1)")
-        if epsilon <= 0.0:
-            raise ParameterError("epsilon must be > 0")
-        self.momentum = float(momentum)
-        self.epsilon = float(epsilon)
+    momentum = 0.01
+    epsilon = 1e-3
 
     def out_shape(self, in_shapes):
         if len(in_shapes) != 1 or len(in_shapes[0]) not in (1, 2):
@@ -342,10 +302,9 @@ class ActivationLayer(Layer):
 
     kind = "activation"
 
-    def __init__(self, activation: str, leaky_slope: float = 0.01):
+    def __init__(self, activation: str):
         super().__init__()
-        self.activation = activation
-        self.leaky_slope = float(leaky_slope)
+        self._act, self._act_grad = activation_pair(activation)
 
     def out_shape(self, in_shapes):
         if len(in_shapes) != 1:
@@ -353,17 +312,13 @@ class ActivationLayer(Layer):
         return in_shapes[0]
 
     def forward(self, x, train=False, cache=None):
-        a = apply_activation(self.activation, x, self.leaky_slope)
+        a = self._act(x)
         if cache is not None:
-            cache.update(z=x, a=a)
+            cache.update(a=a)
         return a
 
     def backward(self, upstream, cache):
-        return (
-            activation_backward(self.activation, upstream, cache["z"], cache["a"],
-                                self.leaky_slope),
-            {},
-        )
+        return self._act_grad(upstream, cache["a"]), {}
 
 
 class Flatten(Layer):
@@ -444,45 +399,31 @@ class Add(Layer):
 
 
 class Concat(Layer):
-    """Join inputs along one per-sample axis (default: the channel axis)."""
+    """Join inputs along the last (channel or feature) axis."""
 
     kind = "concat"
 
-    def __init__(self, n_inputs: int, axis: int = -1):
+    def __init__(self, n_inputs: int):
         super().__init__()
         if n_inputs < 1:
             raise ParameterError("concat needs at least one input")
         self.n_inputs = int(n_inputs)
-        self.axis = int(axis)
-
-    def _axis(self, rank: int) -> int:
-        ax = self.axis if self.axis >= 0 else rank + self.axis
-        if not (0 <= ax < rank):
-            raise ShapeError(f"concat axis {self.axis} out of range for rank {rank}")
-        return ax
 
     def out_shape(self, in_shapes):
         if len(in_shapes) != self.n_inputs:
             raise ShapeError(f"concat expects {self.n_inputs} inputs, got {len(in_shapes)}")
-        rank = len(in_shapes[0])
-        ax = self._axis(rank)
-        for s in in_shapes[1:]:
-            if len(s) != rank or any(s[i] != in_shapes[0][i] for i in range(rank) if i != ax):
-                raise ShapeError(f"concat extents differ off axis {ax}: {in_shapes}")
-        out = list(in_shapes[0])
-        out[ax] = sum(s[ax] for s in in_shapes)
-        return tuple(out)
+        if not all(in_shapes) or any(s[:-1] != in_shapes[0][:-1] for s in in_shapes):
+            raise ShapeError(f"concat inputs must differ only in the last axis, got {in_shapes}")
+        return in_shapes[0][:-1] + (sum(s[-1] for s in in_shapes),)
 
     def forward(self, xs, train=False, cache=None):
-        ax = self._axis(xs[0].ndim - 1) + 1
         if cache is not None:
-            cache.update(splits=[x.shape[ax] for x in xs], ax=ax)
-        return np.concatenate(xs, axis=ax)
+            cache.update(splits=[x.shape[-1] for x in xs])
+        return np.concatenate(xs, axis=-1)
 
     def backward(self, upstream, cache):
-        ax, splits = cache["ax"], cache["splits"]
-        cuts = np.cumsum(splits)[:-1]
-        return list(np.split(upstream, cuts, axis=ax)), {}
+        cuts = np.cumsum(cache["splits"])[:-1]
+        return list(np.split(upstream, cuts, axis=-1)), {}
 
 
 class Upsample1D(Layer):

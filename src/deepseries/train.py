@@ -304,7 +304,8 @@ def mean_absolute_error(predictions, targets) -> float:
 def auc(scores, labels) -> float:
     """Rank-based (Mann-Whitney) AUC with ties counted as half.
 
-    Raises MetricUndefinedError unless both classes are present.
+    Raises MetricUndefinedError unless both classes are present and every
+    score is finite.
     """
     s = as_array(scores).ravel()
     y = as_array(labels).ravel().astype(int)
@@ -314,19 +315,14 @@ def auc(scores, labels) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("AUC needs both classes present")
+    if not np.isfinite(s).all():
+        raise MetricUndefinedError("AUC needs finite scores")
     order = np.argsort(s, kind="stable")
+    # tied scores share the mean of the 1-based ranks they span
+    _, tie, count = np.unique(s[order], return_inverse=True, return_counts=True)
+    first = np.cumsum(count) - count
     ranks = np.empty(len(s))
-    ranks[order] = np.arange(1, len(s) + 1)
-    # average ranks across ties
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    ranks[order] = (first + 0.5 * (count + 1))[tie]
     r_pos = ranks[y == 1].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -9,7 +9,7 @@ Hyperparameters have working defaults and can be overridden per build.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 

@@ -513,6 +513,20 @@ def test_csv_that_is_not_utf8_exits_4(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_csv_with_a_byte_order_mark_trains(tmp_path, capsys):
+    path = tmp_path / "exported.csv"
+    rows = ["value"] + [f"{np.sin(i / 7.0):.6f}" for i in range(500)]
+    path.write_bytes(b"\xef\xbb\xbf" + "\n".join(rows).encode() + b"\n")
+    code, out, err = run_cli(
+        ["train", "--task", "forecast", "--model", "ExampleModel",
+         "--csv", str(path), "--column", "value", "--window", "30",
+         "--horizon", "5", "--epochs", "1", "--out", str(tmp_path / "x")],
+        capsys,
+    )
+    assert code == 0, err
+    assert "metric mae value" in out
+
+
 def test_anomaly_with_no_anomalies_exits_4(tmp_path, capsys):
     rng = np.random.default_rng(0)
     lines = ["load,label"] + [f"{v:.4f},0" for v in rng.normal(1.0, 0.1, 400)]

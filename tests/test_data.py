@@ -103,15 +103,22 @@ def test_chrono_split_contiguous_and_remainder_to_test():
     assert (tr.shape[0], va.shape[0], te.shape[0]) == (6, 1, 2)
 
 
-def test_chrono_split_validation():
-    with pytest.raises(ParameterError):
-        chrono_split(np.arange(10.0), (0.5, 0.5))
-    with pytest.raises(ParameterError):
-        chrono_split(np.arange(10.0), (0.8, 0.3, -0.1))
+def _pairs(n):
+    return SeriesDataset(np.zeros((n, 2, 1)), np.zeros((n, 1, 1)))
+
+
+@pytest.mark.parametrize("split,make", [(chrono_split, np.arange),
+                                        (split_pairs, _pairs)],
+                         ids=["chrono_split", "split_pairs"])
+def test_split_validation(split, make):
+    for bad in [(0.5, 0.5), (0.7,), (0.8, 0.3, -0.1), (0.2, 0.2, 0.2),
+                (0.7, float("nan"), 0.3)]:
+        with pytest.raises(ParameterError, match="three positives summing to 1"):
+            split(make(10), bad)
     with pytest.raises(DataError):
-        chrono_split(np.arange(2.0))
-    with pytest.raises(DataError):  # n=3 gives an empty val part
-        chrono_split(np.arange(3.0))
+        split(make(2))
+    with pytest.raises(DataError, match="empty part"):  # n=3 gives an empty val part
+        split(make(3))
 
 
 def test_windowize_hand_case():
@@ -388,6 +395,12 @@ def test_load_csv_rejects_non_finite_cells():
     # a non-finite cell in a column that is not selected is not read
     np.testing.assert_array_equal(
         load_csv(io.StringIO("a,b\n1,nan\n"), columns=["a"]).array, [[1.0]])
+
+
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    p = tmp_path / "exported.csv"
+    p.write_bytes(b"\xef\xbb\xbfvalue\n1\n2\n")
+    np.testing.assert_array_equal(load_csv(str(p), columns=["value"]).array, [[1.0], [2.0]])
 
 
 def test_load_csv_reads_files_as_utf8(tmp_path):

@@ -427,6 +427,12 @@ def test_auc_needs_both_classes():
         auc([0.1], [1, 0])
 
 
+def test_auc_rejects_non_finite_scores():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(MetricUndefinedError, match="finite scores"):
+            auc([0.1, bad, 0.3], [1, 0, 1])
+
+
 def test_evaluate_dispatch():
     assert evaluate("accuracy", [[0.9, 0.1]], [0]) == 1.0
     assert evaluate("mae", [1.0], [3.0]) == 2.0

@@ -103,14 +103,19 @@ class Model:
     def backward(self, loss_grad) -> dict[str, np.ndarray]:
         """Back-propagate from the output; returns gradients per parameter name.
 
-        Requires a preceding training-mode ``forward``.  The cache is consumed.
-        Gradients with respect to the graph inputs are kept on
-        ``last_input_grads``.
+        Requires a preceding training-mode ``forward``, and ``loss_grad`` must
+        have that forward's output shape.  The cache is consumed.  Gradients
+        with respect to the graph inputs are kept on ``last_input_grads``.
         """
         if self._ctx is None:
             raise StateError("backward requires a prior training-mode forward")
+        grad = as_array(loss_grad)
+        want = (self._ctx["batch"], *self.output_shape)
+        if grad.shape != want:
+            raise ShapeError(f"loss gradient must have the output shape {want}, "
+                             f"got {grad.shape}")
         ctx, self._ctx = self._ctx, None
-        upstream: dict[str, np.ndarray] = {self.output: as_array(loss_grad)}
+        upstream: dict[str, np.ndarray] = {self.output: grad}
         grads = backward_nodes(self.nodes, ctx["caches"], upstream, "{}/{}".format)
         self.last_input_grads = {
             name: upstream.get(name, np.zeros((ctx["batch"], *self.input_shapes[name])))

@@ -36,6 +36,24 @@ class _Recurrent(Layer):
         per_step[:, -1] = upstream
         return per_step
 
+    def _inference_terms(self, x, order, n_sigmoid):
+        """Gate columns in ``order`` with the first ``n_sigmoid`` halved.
+
+        ``sigmoid(z) = 0.5 + 0.5 * tanh(z / 2)`` and halving is exact, so one
+        ``tanh`` of the halved pre-activations serves every gate.  Returns
+        ``wh`` and the input term ``x @ wx + b`` laid out ``[time, batch,
+        gates]``, so each step reads a contiguous block.  Rebuilt on every
+        call, so parameter updates apply at once.
+        """
+        scale = np.ones(self.params["b"].size)
+        scale[:n_sigmoid] = 0.5
+        wx, wh, bias = (self.params[k][..., order] * scale for k in ("wx", "wh", "b"))
+        b, t, ch = x.shape
+        x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t * b, ch)
+        xw = x_tm @ wx
+        xw += bias
+        return wh, xw.reshape(t, b, bias.size)
+
 
 class LSTM(_Recurrent):
     """Long short-term memory.
@@ -46,6 +64,10 @@ class LSTM(_Recurrent):
         i,f,o = sigmoid(z_i), sigmoid(z_f), sigmoid(z_o);  g = tanh(z_g)
         c_t = f * c_{t-1} + i * g
         h_t = o * tanh(c_t)
+
+    The stored packing stays ``i/f/g/o``.  Without a cache (inference) each
+    call reorders a copy to ``i/f/o/g`` and halves its ``i f o`` columns, so
+    one ``tanh`` covers all four gates.
     """
 
     kind = "lstm"
@@ -59,13 +81,15 @@ class LSTM(_Recurrent):
         self.params["b"] = b
 
     def forward(self, x, train=False, cache=None):
+        if cache is None:
+            return self._infer(x)
         b, t, _ = x.shape
         u = self.units
         wx, wh, bias = self.params["wx"], self.params["wh"], self.params["b"]
         h = np.zeros((b, u))
         c = np.zeros((b, u))
         hs = np.empty((b, t, u))
-        steps = [] if cache is not None else None
+        steps = []
         xw = x @ wx + bias  # input contribution for every step at once
         for ti in range(t):
             z = xw[:, ti] + h @ wh
@@ -79,11 +103,32 @@ class LSTM(_Recurrent):
             h_prev = h
             h = o * tc
             hs[:, ti] = h
-            if steps is not None:
-                steps.append((h_prev, c_prev, i, f, g, o, tc))
-        if cache is not None:
-            cache.update(x=x, steps=steps)
+            steps.append((h_prev, c_prev, i, f, g, o, tc))
+        cache.update(x=x, steps=steps)
         return hs if self.return_sequences else h
+
+    def _infer(self, x):
+        b, t, _ = x.shape
+        u = self.units
+        ifog = np.r_[: 2 * u, 3 * u : 4 * u, 2 * u : 3 * u]  # sigmoid gates first
+        wh, xw = self._inference_terms(x, ifog, 3 * u)
+        h = np.zeros((b, u))
+        c = np.zeros((b, u))
+        hs = np.empty((b, t, u)) if self.return_sequences else None
+        z = np.empty((b, 4 * u))
+        sig = z[:, : 3 * u]
+        i, f, o, g = (z[:, k * u : (k + 1) * u] for k in range(4))
+        for ti in range(t):
+            np.matmul(h, wh, out=z)
+            z += xw[ti]
+            np.tanh(z, out=z)
+            sig *= 0.5  # i f o: 0.5 + 0.5 * tanh(z / 2)
+            sig += 0.5
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            if hs is not None:
+                hs[:, ti] = h
+        return h if hs is None else hs
 
     def backward(self, upstream, cache):
         x, steps = cache["x"], cache["steps"]
@@ -133,6 +178,9 @@ class GRU(_Recurrent):
         r_t = sigmoid(x_t @ wx_r + h_{t-1} @ wh_r + b_r)
         n_t = tanh(x_t @ wx_n + (r_t * h_{t-1}) @ wh_n + b_n)
         h_t = (1 - z_t) * h_{t-1} + z_t * n_t
+
+    The stored packing stays ``z/r/n``.  Without a cache (inference) each call
+    halves a copy of the ``z r`` columns so one ``tanh`` covers both gates.
     """
 
     kind = "gru"
@@ -144,12 +192,14 @@ class GRU(_Recurrent):
         self.params["b"] = np.zeros(3 * u)
 
     def forward(self, x, train=False, cache=None):
+        if cache is None:
+            return self._infer(x)
         b, t, _ = x.shape
         u = self.units
         wx, wh, bias = self.params["wx"], self.params["wh"], self.params["b"]
         h = np.zeros((b, u))
         hs = np.empty((b, t, u))
-        steps = [] if cache is not None else None
+        steps = []
         xw = x @ wx + bias
         for ti in range(t):
             zr = xw[:, ti, : 2 * u] + h @ wh[:, : 2 * u]
@@ -160,11 +210,30 @@ class GRU(_Recurrent):
             h_prev = h
             h = (1.0 - z) * h_prev + z * n
             hs[:, ti] = h
-            if steps is not None:
-                steps.append((h_prev, z, r, n, rh))
-        if cache is not None:
-            cache.update(x=x, steps=steps)
+            steps.append((h_prev, z, r, n, rh))
+        cache.update(x=x, steps=steps)
         return hs if self.return_sequences else h
+
+    def _infer(self, x):
+        b, t, _ = x.shape
+        u = self.units
+        wh, xw = self._inference_terms(x, slice(None), 2 * u)
+        wh_zr, wh_n = wh[:, : 2 * u], wh[:, 2 * u :]
+        h = np.zeros((b, u))
+        hs = np.empty((b, t, u)) if self.return_sequences else None
+        zr = np.empty((b, 2 * u))
+        z, r = zr[:, :u], zr[:, u:]
+        for ti in range(t):
+            np.matmul(h, wh_zr, out=zr)
+            zr += xw[ti, :, : 2 * u]
+            np.tanh(zr, out=zr)
+            zr *= 0.5  # z r: 0.5 + 0.5 * tanh(z / 2)
+            zr += 0.5
+            n = np.tanh(xw[ti, :, 2 * u :] + (r * h) @ wh_n)
+            h = (1.0 - z) * h + z * n
+            if hs is not None:
+                hs[:, ti] = h
+        return h if hs is None else hs
 
     def backward(self, upstream, cache):
         x, steps = cache["x"], cache["steps"]

@@ -180,8 +180,10 @@ def predict(model: Model, inputs, batch_size: int = 256) -> np.ndarray:
     """Evaluation-mode forward over a whole input array, batched.
 
     Zero rows of the right per-sample shape give an empty
-    ``[0, *output_shape]`` array.
+    ``[0, *output_shape]`` array.  ``batch_size`` must be >= 1.
     """
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     xs = as_array(inputs)
     outs = [
         np.asarray(model.forward(_model_inputs(model, xs[sel]), train=False).array)

@@ -1,7 +1,9 @@
 """End-to-end command-line behaviour: commands, presets, artifacts, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -542,9 +544,12 @@ def test_anomaly_with_no_anomalies_exits_4(tmp_path, capsys):
 
 
 def test_console_entrypoint_runs():
+    # The child finds the same package this suite imported, installed or not.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "deepseries.cli", "list"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "ExampleModel" in proc.stdout

@@ -1,6 +1,7 @@
 """Graph assembly, execution order, fan-out gradients, and weights files."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from deepseries.layers import (
     Flatten,
     Pool1D,
 )
+from deepseries.zoo import build_model, make_top
 
 
 def tiny_model(seed=0):
@@ -165,6 +167,17 @@ def test_backward_cache_is_consumed():
     m.backward(np.ones((2, 4)))
     with pytest.raises(StateError):
         m.backward(np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("grad_shape", [(1, 10, 1), (3, 10), (3, 10, 2)])
+def test_backward_rejects_a_gradient_of_the_wrong_shape(grad_shape):
+    top = make_top("forecast", horizon=10, features=1)
+    m = build_model("ExampleModel", (100, 1), top=top)
+    m.forward(np.ones((3, 100, 1)), train=True)
+    with pytest.raises(ShapeError, match=r"\(3, 10, 1\).*" + re.escape(str(grad_shape))):
+        m.backward(np.ones(grad_shape))
+    grads = m.backward(np.ones((3, 10, 1)))  # the pending forward is kept
+    assert set(grads) == set(m.parameters())
 
 
 def test_gradient_keys_cover_every_parameter():

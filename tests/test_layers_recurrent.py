@@ -1,11 +1,14 @@
 """LSTM / GRU / bidirectional forward passes against an independent
 re-implementation of the recurrences written inline with plain numpy."""
 
+import io
+
 import numpy as np
 import pytest
 
 from deepseries.errors import ParameterError
 from deepseries.layers import GRU, LSTM, Bidirectional
+from deepseries.train import Adam
 from conftest import single_node_model
 
 
@@ -51,17 +54,23 @@ def _gru_reference(x, wx, wh, b, return_sequences):
     return np.stack(seq) if return_sequences else h
 
 
+# Without a cache the layers take a separate inference step; ``train=True``
+# runs the caching training step.  Each reference test checks both steps.
+PATHS_AND_BATCHES = [(train, batch) for train in (False, True) for batch in (1, 3)]
+
+
 @pytest.mark.parametrize("return_sequences", [False, True])
 def test_lstm_matches_reference_recurrence(return_sequences):
     m = single_node_model(LSTM(3, return_sequences=return_sequences), (4, 2), seed=5)
     L = m.nodes["L"].layer
     rng = np.random.default_rng(42)
-    x = rng.normal(size=(2, 4, 2))
-    out = np.asarray(m.forward(x).array)
-    for s in range(2):
-        ref = _lstm_reference(x[s], L.params["wx"], L.params["wh"], L.params["b"],
-                              return_sequences)
-        np.testing.assert_allclose(out[s], ref, rtol=1e-12, atol=1e-12)
+    for train, batch in PATHS_AND_BATCHES:
+        x = rng.normal(size=(batch, 4, 2))
+        out = np.asarray(m.forward(x, train=train).array)
+        for s in range(batch):
+            ref = _lstm_reference(x[s], L.params["wx"], L.params["wh"], L.params["b"],
+                                  return_sequences)
+            np.testing.assert_allclose(out[s], ref, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("return_sequences", [False, True])
@@ -69,12 +78,13 @@ def test_gru_matches_reference_recurrence(return_sequences):
     m = single_node_model(GRU(3, return_sequences=return_sequences), (4, 2), seed=6)
     L = m.nodes["L"].layer
     rng = np.random.default_rng(43)
-    x = rng.normal(size=(2, 4, 2))
-    out = np.asarray(m.forward(x).array)
-    for s in range(2):
-        ref = _gru_reference(x[s], L.params["wx"], L.params["wh"], L.params["b"],
-                             return_sequences)
-        np.testing.assert_allclose(out[s], ref, rtol=1e-12, atol=1e-12)
+    for train, batch in PATHS_AND_BATCHES:
+        x = rng.normal(size=(batch, 4, 2))
+        out = np.asarray(m.forward(x, train=train).array)
+        for s in range(batch):
+            ref = _gru_reference(x[s], L.params["wx"], L.params["wh"], L.params["b"],
+                                 return_sequences)
+            np.testing.assert_allclose(out[s], ref, rtol=1e-12, atol=1e-12)
 
 
 def test_lstm_forget_gate_bias_starts_at_one():
@@ -95,28 +105,77 @@ def test_bidirectional_concat_of_two_passes():
     m = single_node_model(Bidirectional(LSTM(3)), (4, 2), seed=8)
     L = m.nodes["L"].layer
     rng = np.random.default_rng(44)
-    x = rng.normal(size=(1, 4, 2))
-    out = np.asarray(m.forward(x).array)
-    assert out.shape == (1, 6)
-    fwd = _lstm_reference(x[0], L.params["fwd_wx"], L.params["fwd_wh"],
-                          L.params["fwd_b"], False)
-    bwd = _lstm_reference(x[0, ::-1], L.params["bwd_wx"], L.params["bwd_wh"],
-                          L.params["bwd_b"], False)
-    np.testing.assert_allclose(out[0], np.concatenate([fwd, bwd]), rtol=1e-12)
+    for train, batch in PATHS_AND_BATCHES:
+        x = rng.normal(size=(batch, 4, 2))
+        out = np.asarray(m.forward(x, train=train).array)
+        assert out.shape == (batch, 6)
+        for s in range(batch):
+            fwd = _lstm_reference(x[s], L.params["fwd_wx"], L.params["fwd_wh"],
+                                  L.params["fwd_b"], False)
+            bwd = _lstm_reference(x[s, ::-1], L.params["bwd_wx"], L.params["bwd_wh"],
+                                  L.params["bwd_b"], False)
+            np.testing.assert_allclose(out[s], np.concatenate([fwd, bwd]), rtol=1e-12)
 
 
 def test_bidirectional_sequences_rereversed():
     m = single_node_model(Bidirectional(GRU(2, return_sequences=True)), (5, 1), seed=9)
     L = m.nodes["L"].layer
     rng = np.random.default_rng(45)
-    x = rng.normal(size=(1, 5, 1))
-    out = np.asarray(m.forward(x).array)
-    assert out.shape == (1, 5, 4)
-    fwd = _gru_reference(x[0], L.params["fwd_wx"], L.params["fwd_wh"],
-                         L.params["fwd_b"], True)
-    bwd = _gru_reference(x[0, ::-1], L.params["bwd_wx"], L.params["bwd_wh"],
-                         L.params["bwd_b"], True)[::-1]
-    np.testing.assert_allclose(out[0], np.concatenate([fwd, bwd], axis=1), rtol=1e-12)
+    for train, batch in PATHS_AND_BATCHES:
+        x = rng.normal(size=(batch, 5, 1))
+        out = np.asarray(m.forward(x, train=train).array)
+        assert out.shape == (batch, 5, 4)
+        for s in range(batch):
+            fwd = _gru_reference(x[s], L.params["fwd_wx"], L.params["fwd_wh"],
+                                 L.params["fwd_b"], True)
+            bwd = _gru_reference(x[s, ::-1], L.params["bwd_wx"], L.params["bwd_wh"],
+                                 L.params["bwd_b"], True)[::-1]
+            np.testing.assert_allclose(out[s], np.concatenate([fwd, bwd], axis=1),
+                                       rtol=1e-12)
+
+
+CELLS = {
+    "lstm": lambda seq: LSTM(5, return_sequences=seq),
+    "gru": lambda seq: GRU(5, return_sequences=seq),
+    "bilstm": lambda seq: Bidirectional(LSTM(4, return_sequences=seq)),
+    "bigru": lambda seq: Bidirectional(GRU(4, return_sequences=seq)),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 3, 64])
+@pytest.mark.parametrize("return_sequences", [False, True])
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_inference_step_matches_training_step(cell, return_sequences, batch):
+    m = single_node_model(CELLS[cell](return_sequences), (7, 3), seed=11)
+    x = np.random.default_rng(46).normal(size=(batch, 7, 3))
+    infer = np.asarray(m.forward(x, train=False).array)
+    trained = np.asarray(m.forward(x, train=True).array)
+    assert infer.shape == trained.shape
+    np.testing.assert_allclose(infer, trained, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_inference_step_sees_in_place_parameter_updates(cell):
+    m = single_node_model(CELLS[cell](False), (6, 2), seed=12)
+    x = np.random.default_rng(47).normal(size=(3, 6, 2))
+    before = np.asarray(m.forward(x, train=False).array)
+    opt = Adam(m.parameters(), lr=0.05)
+    out = m.forward(x, train=True)
+    opt.step(m.backward(np.ones_like(out.array)))
+    after_step = np.asarray(m.forward(x, train=False).array)
+    assert np.abs(after_step - before).max() > 1e-3
+    np.testing.assert_allclose(after_step, np.asarray(m.forward(x, train=True).array),
+                               rtol=0, atol=1e-14)
+
+    fresh = single_node_model(CELLS[cell](False), (6, 2), seed=13)
+    fresh.forward(x, train=False)  # a forward before the load must not linger
+    buf = io.BytesIO()
+    m.save_weights(buf)
+    buf.seek(0)
+    fresh.load_weights(buf)
+    loaded = np.asarray(fresh.forward(x, train=False).array)
+    np.testing.assert_allclose(loaded, np.asarray(m.forward(x, train=True).array),
+                               rtol=0, atol=1e-14)
 
 
 def test_bidirectional_kind_tracks_inner_cell():

@@ -339,6 +339,12 @@ def test_predict_on_zero_rows_returns_an_empty_output():
         predict(dense_model(), np.zeros((0, 7)))
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_predict_rejects_batch_size_below_one(batch_size):
+    with pytest.raises(ParameterError, match="batch_size"):
+        predict(dense_model(), np.zeros((3, 3)), batch_size=batch_size)
+
+
 def test_two_phase_autoencoder_fit_moves_then_freezes_encoder():
     from deepseries.zoo import build_autoencoder_pair, make_top
 

@@ -304,7 +304,8 @@ def load_csv(path: Union[str, io.IOBase], has_header: bool = True,
     A file path is read as UTF-8, dropping a leading byte-order mark.  Text
     that does not decode, or a selected cell that is not a finite number
     (``nan`` and ``inf`` included), raises :class:`FormatError`; a bad
-    cell's message names its file line.
+    cell's message names its file line.  Every row, the header included,
+    must have the same number of fields.
     """
     fh = open(path, "r", newline="", encoding="utf-8-sig") if isinstance(path, str) else path
     try:
@@ -324,6 +325,8 @@ def load_csv(path: Union[str, io.IOBase], has_header: bool = True,
         if not rows:
             raise DataError("CSV has a header but no data rows")
     width = len(rows[0])
+    if header is not None and len(header) != width:
+        raise FormatError(f"header has {len(header)} fields but line 2 has {width}")
     if columns is None:
         idx = list(range(width))
     else:

@@ -17,7 +17,7 @@ import numpy as np
 from .container import read_records, write_records
 from .errors import FormatError, GraphError, ShapeError, StateError
 from .layers.base import Layer
-from .layers.subgraph import NodeSpec, backward_nodes, forward_nodes, manifest, walk
+from .layers.subgraph import NodeSpec, backward_nodes, drop_plan, forward_nodes, manifest, walk
 from .tensor import Tensor, as_array
 
 WEIGHTS_MAGIC = b"TSDLW1\x00"
@@ -32,6 +32,7 @@ class Model:
         self.nodes: dict[str, NodeSpec] = nodes  # in evaluation order
         self.node_shapes: dict[str, tuple[int, ...]] = shapes
         self.output: str = output
+        self._drops = drop_plan(nodes, output)
         self._ctx: Optional[dict] = None
         self.last_input_grads: Optional[dict[str, np.ndarray]] = None
 
@@ -94,7 +95,7 @@ class Model:
         """Evaluate the graph.  In training mode, caches for backward are kept."""
         values = self._coerce_inputs(x)
         caches: Optional[dict] = {} if train else None
-        forward_nodes(self.nodes, values, train, caches)
+        forward_nodes(self.nodes, self._drops, values, train, caches)
         out = values[self.output]
         if train:
             self._ctx = {"caches": caches, "batch": out.shape[0]}

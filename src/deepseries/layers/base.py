@@ -16,36 +16,51 @@ from ..errors import ParameterError, ShapeError
 # -- activations -------------------------------------------------------------
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Logistic function as ``0.5 + 0.5 * tanh(x / 2)``.
 
     Elementwise ufuncs only, with no masks or branches, so it costs a
     fraction of a two-branch ``exp`` form.  The result lies in [0, 1] for any
     ``x``, including +-inf (NaN stays NaN), and is within 2.2e-16 absolute
-    of ``1 / (1 + exp(-x))``.
+    of ``1 / (1 + exp(-x))``.  All four steps run in one buffer: ``out``
+    when given (``x`` itself is allowed), else a new array.
     """
-    return 0.5 + 0.5 * np.tanh(0.5 * x)
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row softmax over the last axis, computed in ``out`` (``x`` allowed) or a new array."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 LEAKY_SLOPE = 0.01
 
-# name -> (forward, backward).  Each backward maps the upstream gradient and
-# the activation output ``a`` to the gradient at the input: relu and leaky
-# relu are positive exactly where their input is, so ``a > 0`` masks as
-# ``z > 0`` would (NaN included).
+
+def _leaky_relu(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    out = z.copy() if out is None else out  # entries not scaled keep z
+    return np.multiply(out, LEAKY_SLOPE, out=out, where=~(out > 0.0))
+
+
+# name -> (forward, backward).  Each forward maps the pre-activation ``z`` to
+# the activation; ``forward(z)`` leaves ``z`` unchanged (linear returns ``z``
+# itself), and ``forward(z, out=z)`` may overwrite ``z`` and return it, so a
+# layer that has just made ``z`` can skip a second output-sized array.  Each
+# backward maps the upstream gradient and the activation output ``a`` to the
+# gradient at the input: relu and leaky relu are positive exactly where their
+# input is, so ``a > 0`` masks as ``z > 0`` would (NaN included).
 _ACTIVATIONS = {
-    "linear": (lambda z: z, lambda da, a: da),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda da, a: da * (a > 0.0)),
-    "leaky_relu": (lambda z: np.where(z > 0.0, z, LEAKY_SLOPE * z),
-                   lambda da, a: da * np.where(a > 0.0, 1.0, LEAKY_SLOPE)),
+    "linear": (lambda z, out=None: z, lambda da, a: da),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda da, a: da * (a > 0.0)),
+    "leaky_relu": (_leaky_relu, lambda da, a: da * np.where(a > 0.0, 1.0, LEAKY_SLOPE)),
     "sigmoid": (sigmoid, lambda da, a: da * a * (1.0 - a)),
-    "tanh": (np.tanh, lambda da, a: da * (1.0 - a * a)),
+    "tanh": (lambda z, out=None: np.tanh(z, out=out), lambda da, a: da * (1.0 - a * a)),
     # row Jacobian: dz_i = a_i * (da_i - sum_j da_j a_j)
     "softmax": (softmax, lambda da, a: a * (da - (da * a).sum(axis=-1, keepdims=True))),
 }

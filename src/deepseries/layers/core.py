@@ -70,8 +70,9 @@ class Conv1D(Layer):
         xp = np.pad(x, ((0, 0), (before, after), (0, 0))) if before or after else x
         # windows: [batch, t_out, channels, kernel]
         win = sliding_window_view(xp, self.kernel, axis=1)
-        z = np.tensordot(win, self.params["w"], axes=([3, 2], [0, 1])) + self.params["b"]
-        a = self._act(z)
+        z = np.tensordot(win, self.params["w"], axes=([3, 2], [0, 1]))
+        z += self.params["b"]
+        a = self._act(z, out=z)
         if cache is not None:
             cache.update(win=win, a=a, in_time=x.shape[1])
         return a
@@ -175,7 +176,9 @@ class Dense(Layer):
         self.params["b"] = np.zeros(self.units)
 
     def forward(self, x, train=False, cache=None):
-        a = self._act(x @ self.params["w"] + self.params["b"])
+        z = x @ self.params["w"]
+        z += self.params["b"]
+        a = self._act(z, out=z)
         if cache is not None:
             cache.update(x=x, a=a)
         return a
@@ -312,7 +315,7 @@ class ActivationLayer(Layer):
         return in_shapes[0]
 
     def forward(self, x, train=False, cache=None):
-        a = self._act(x)
+        a = self._act(x)  # never out=x: x is another node's output
         if cache is not None:
             cache.update(a=a)
         return a

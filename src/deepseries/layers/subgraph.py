@@ -2,7 +2,8 @@
 
 :class:`~deepseries.graph.Model` runs them over a whole model and
 :class:`Subgraph` inside one layer, so composite blocks are plain node lists
-with no backward pass of their own.  Nodes run in declaration order.
+with no backward pass of their own.  Nodes run in declaration order, and a
+forward holds each value only until its last reader has run.
 """
 
 from __future__ import annotations
@@ -60,11 +61,33 @@ def walk(specs: Sequence[NodeSpec], shapes: dict,
     return nodes
 
 
-def forward_nodes(nodes: dict[str, NodeSpec], values: dict, train: bool,
-                  caches: Optional[dict] = None):
+def drop_plan(nodes: dict[str, NodeSpec], keep: str) -> dict[str, tuple[str, ...]]:
+    """For each node, the values to drop from ``values`` once it has run.
+
+    A value (a node output or a graph input) is dropped after its last
+    reader, and a node output that nothing reads right after it is made;
+    ``keep``, the output, never is.  Build the plan once with the node list.
+    """
+    last: dict[str, str] = {}
+    for name, node in nodes.items():
+        last[name] = name
+        for ref in node.inputs:
+            last[ref] = name
+    plan: dict[str, tuple[str, ...]] = {name: () for name in nodes}
+    for value, reader in last.items():
+        if value != keep:
+            plan[reader] += (value,)
+    return plan
+
+
+def forward_nodes(nodes: dict[str, NodeSpec], drops: dict[str, tuple[str, ...]],
+                  values: dict, train: bool, caches: Optional[dict] = None):
     """Evaluate ``nodes`` in order into ``values``, which holds the graph inputs.
 
-    With a ``caches`` dict, each node's backward cache is kept under its name.
+    Values are dropped as ``drops`` (from :func:`drop_plan`) says, so on
+    return ``values`` holds the kept output and no dead arrays.  With a
+    ``caches`` dict, each node's backward cache is kept under its name; it
+    holds whatever backward needs, so dropping is safe in training too.
     """
     for name, node in nodes.items():
         xs = [values[i] for i in node.inputs]
@@ -73,6 +96,8 @@ def forward_nodes(nodes: dict[str, NodeSpec], values: dict, train: bool,
             cache = caches[name] = {}
         values[name] = node.layer.forward(xs if node.layer.n_inputs > 1 else xs[0],
                                           train, cache)
+        for dead in drops[name]:
+            del values[dead]
 
 
 def backward_nodes(nodes: dict[str, NodeSpec], caches: dict, upstream: dict,
@@ -127,6 +152,7 @@ class Subgraph(Layer):
         super().__init__()
         self._specs = list(nodes)
         self.nodes: dict[str, NodeSpec] = {}
+        self._drops: dict[str, tuple[str, ...]] = {}
 
     def _nodes(self, in_shape) -> list[NodeSpec]:
         return self._specs
@@ -144,12 +170,13 @@ class Subgraph(Layer):
 
     def _build(self, in_shapes, rng):
         self.nodes = self._walk(in_shapes[0], itertools.repeat(rng))[0]
+        self._drops = drop_plan(self.nodes, next(reversed(self.nodes)))
         self.params = manifest(self.nodes, "params", _alias)
         self.buffers = manifest(self.nodes, "buffers", _alias)
 
     def forward(self, x, train=False, cache=None):
         values = {INPUT: x}
-        forward_nodes(self.nodes, values, train, cache)
+        forward_nodes(self.nodes, self._drops, values, train, cache)
         return values[next(reversed(self.nodes))]
 
     def backward(self, upstream, cache):

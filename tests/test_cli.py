@@ -502,6 +502,19 @@ def test_non_finite_csv_cell_exits_4(tmp_path, capsys):
     assert "error: line 302: 'inf' is not a finite number" in err
 
 
+def test_csv_rows_narrower_than_the_header_exit_4(tmp_path, capsys):
+    bad = tmp_path / "narrow.csv"
+    bad.write_text("a,b\n" + "\n".join("1.0" for _ in range(300)) + "\n")
+    code, _, err = run_cli(
+        ["train", "--task", "forecast", "--model", "ExampleModel",
+         "--csv", str(bad), "--column", "b", "--out", str(tmp_path / "x")],
+        capsys,
+    )
+    assert code == 4
+    assert "error: header has 2 fields but line 2 has 1" in err
+    assert "Traceback" not in err
+
+
 def test_csv_that_is_not_utf8_exits_4(tmp_path, capsys):
     bad = tmp_path / "latin.csv"
     bad.write_bytes(b"value\n1\n\xff\n2\n")

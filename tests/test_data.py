@@ -384,6 +384,15 @@ def test_load_csv_error_reporting():
         load_csv(io.StringIO("a,b\n"))
 
 
+def test_load_csv_header_and_rows_must_agree_in_width():
+    # a narrower row once raised IndexError for a header-named column, and a
+    # wider one loaded a column the header never named
+    with pytest.raises(FormatError, match="header has 2 fields but line 2 has 1"):
+        load_csv(io.StringIO("a,b\n1\n2\n"), columns=["b"])
+    with pytest.raises(FormatError, match="header has 1 fields but line 2 has 2"):
+        load_csv(io.StringIO("a\n1,2\n3,4\n"))
+
+
 def test_load_csv_rejects_non_finite_cells():
     with pytest.raises(FormatError, match="line 3: 'nan' is not a finite number"):
         load_csv(io.StringIO("a,b\n1,2\n1,nan\n"))

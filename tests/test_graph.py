@@ -1,10 +1,13 @@
 """Graph assembly, execution order, fan-out gradients, and weights files."""
 
+import functools
 import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepseries.errors import FormatError, GraphError, ShapeError, StateError
 from deepseries.graph import GraphBuilder, Model, NodeSpec, build
@@ -18,7 +21,8 @@ from deepseries.layers import (
     Flatten,
     Pool1D,
 )
-from deepseries.zoo import build_model, make_top
+from deepseries.train import predict
+from deepseries.zoo import build_model, make_top, minimum_input_length
 
 
 def tiny_model(seed=0):
@@ -250,6 +254,114 @@ def test_introspection_counts():
     assert m.kind_counts() == {"conv1d": 1, "pool1d": 1, "flatten": 1, "dense": 1}
     want = 3 * 2 * 3 + 3 + 9 * 4 + 4  # conv w+b, dense w+b
     assert m.param_count() == want
+
+
+# A forward drops each value after its last reader and Conv1D/Dense activate
+# in place.  These pin that no node reads a dropped or overwritten value.
+
+
+def on_copies(m, x, train):
+    """Every node's value, each layer run alone on copies of its inputs."""
+    vals = {"x": x.copy()}
+    for name, spec in m.nodes.items():
+        ins = [vals[i].copy() for i in spec.inputs]
+        vals[name] = spec.layer.forward(ins if spec.layer.n_inputs > 1 else ins[0],
+                                        train, {} if train else None)
+    return vals
+
+
+def fanout_model():
+    # The input, a Conv1D output and a Dense output each feed two nodes; the
+    # first reader of each is an activation that must not write into it.
+    b = GraphBuilder()
+    x = b.input("x", (8, 2))
+    b.add("x_tanh", ActivationLayer("tanh"), x)
+    b.add("conv", Conv1D(3, 3, activation="relu"), x)
+    b.add("conv_sig", ActivationLayer("sigmoid"), "conv")
+    b.add("conv2", Conv1D(2, 1, activation="tanh"), "conv")
+    b.add("cat", Concat(2), ["conv_sig", "conv2"])
+    b.add("flat", Flatten(), "cat")
+    b.add("dense", Dense(4, activation="relu"), "flat")
+    b.add("dense_soft", ActivationLayer("softmax"), "dense")
+    b.add("dense2", Dense(3, activation="sigmoid"), "dense")
+    return b.build(output=b.add("out", Concat(2), ["dense_soft", "dense2"]), seed=4)
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_fanned_out_values_reach_every_reader_intact(train):
+    m = fanout_model()
+    for layer in ("conv", "dense"):
+        m.nodes[layer].layer.params["b"][...] = 0.3  # keep some relu units live
+    x = np.random.default_rng(8).normal(size=(3, 8, 2))
+    want = on_copies(m, x, train)["out"]
+    np.testing.assert_array_equal(m.forward(x, train=train).array, want)
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_output_read_by_later_nodes_is_returned_intact(train):
+    b = GraphBuilder()
+    x = b.input("x", (6,))
+    b.add("mid", Dense(4, activation="tanh"), x)
+    b.add("after", ActivationLayer("sigmoid"), "mid")
+    b.add("last", Dense(2), "after")
+    m = b.build(output="mid", seed=2)
+    xs = np.random.default_rng(9).normal(size=(3, 6))
+    want = on_copies(m, xs, train)["mid"]
+    np.testing.assert_array_equal(m.forward(xs, train=train).array, want)
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_node_reading_one_value_twice(train):
+    b = GraphBuilder()
+    x = b.input("x", (8, 2))
+    b.add("conv", Conv1D(3, 3, activation="sigmoid"), x)
+    m = b.build(output=b.add("twice", Add(2), ["conv", "conv"]), seed=1)
+    xs = np.random.default_rng(10).normal(size=(2, 8, 2))
+    want = on_copies(m, xs, train)["twice"]
+    out = m.forward(xs, train=train).array
+    np.testing.assert_array_equal(out, want)
+    if train:
+        grads = m.backward(np.ones_like(out))
+        a = out / 2.0
+        np.testing.assert_allclose(grads["conv/b"], 2.0 * (a * (1.0 - a)).sum(axis=(0, 1)))
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_caller_arrays_are_never_modified(train):
+    m = fanout_model()
+    x = np.random.default_rng(11).normal(size=(5, 8, 2))
+    keep = x.copy()
+    m.forward(x, train=train)
+    if not train:
+        predict(m, x, batch_size=2)
+    np.testing.assert_array_equal(x, keep)
+
+
+@functools.lru_cache(maxsize=None)
+def classifier(name):
+    t = max(minimum_input_length(name), 32)
+    return build_model(name, (t, 1), top=make_top("classify", classes=3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["ExampleModel", "ZhangJin", "YiboGao"]),
+       rows=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       seed=st.integers(0, 2**32 - 1))
+def test_eval_forward_is_reentrant(name, rows, seed):
+    # No call leaves state behind: repeating a batch after another gives the
+    # same bits, an earlier result is not overwritten, and inputs stay intact.
+    m = classifier(name)  # ExampleModel, ZhangJin (ST attention, BiGRU), YiboGao (RTA)
+    rng = np.random.default_rng(seed)
+    xs = [{k: rng.normal(size=(n, *s)) for k, s in m.input_shapes.items()} for n in rows]
+    keep = [{k: v.copy() for k, v in x.items()} for x in xs]
+    first = [m.forward(x).array for x in xs]
+    saved = [a.copy() for a in first]
+    for x, a, want in zip(xs, first, saved):
+        np.testing.assert_array_equal(m.forward(x).array, want)
+        np.testing.assert_array_equal(a, want)
+    for x, k in zip(xs, keep):
+        for key in x:
+            np.testing.assert_array_equal(x[key], k[key])
 
 
 # ----------------------------------------------------------------- weights IO

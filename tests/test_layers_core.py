@@ -21,6 +21,7 @@ from deepseries.layers import (
     Upsample1D,
     sigmoid,
 )
+from deepseries.layers.base import _ACTIVATIONS
 from conftest import single_node_model
 
 
@@ -288,6 +289,59 @@ def test_activation_layer_leaky_slope():
     m = single_node_model(ActivationLayer("leaky_relu"), (3, 1))
     x = np.array([-2.0, 0.0, 3.0]).reshape(1, 3, 1)
     np.testing.assert_allclose(m.forward(x).array.ravel(), [-0.02, 0.0, 3.0])
+
+
+# values that probe every branch: signs, zeros of both signs, saturation, inf, NaN
+EDGE = np.array([[-3.0, -0.0, 0.0, 2.5, 1e3], [-1e3, np.inf, -np.inf, np.nan, 5e-324]])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_ACTIVATIONS))
+def test_activation_in_place_matches_a_new_array(name):
+    # forward(z, out=z) may overwrite z, and must give forward(z)'s bits
+    forward = _ACTIVATIONS[name][0]
+    z = EDGE.copy()
+    want = forward(z)
+    np.testing.assert_array_equal(z, EDGE)
+    got = forward(z, out=z)
+    assert got is z
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("name", sorted(_ACTIVATIONS))
+def test_activation_layer_leaves_its_input_unchanged(name, train):
+    # the input is another node's output, which other nodes may still read
+    layer = ActivationLayer(name)
+    x = np.random.default_rng(5).normal(size=(3, 4, 2)) * 4.0
+    x[0, 0] = [-1e3, 1e3]  # saturates every bounded activation
+    keep = x.copy()
+    out = layer.forward(x, train, {} if train else None)
+    np.testing.assert_array_equal(x, keep)
+    np.testing.assert_array_equal(out, _ACTIVATIONS[name][0](keep))
+
+
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("activation", sorted(_ACTIVATIONS))
+@pytest.mark.parametrize("factory, in_shape", [
+    (lambda a: Conv1D(3, 2, padding="same", activation=a), (6, 2)),
+    (lambda a: Dense(5, activation=a), (6,)),
+], ids=["conv1d", "dense"])
+def test_bias_and_activation_in_place_match_a_linear_twin(factory, in_shape, activation, train):
+    # Conv1D and Dense add b and activate in the product they just made; the
+    # bits must equal the activation applied to a linear twin's output
+    rng = np.random.default_rng(6)
+    layer, twin = factory(activation), factory("linear")
+    layer.bind([in_shape], rng)
+    twin.bind([in_shape], rng)
+    layer.params["b"][...] = rng.normal(size=layer.params["b"].shape)
+    for k, v in layer.params.items():
+        twin.params[k][...] = v
+    x = rng.normal(size=(4, *in_shape))
+    keep = x.copy()
+    out = layer.forward(x, train, {} if train else None)
+    np.testing.assert_array_equal(x, keep)
+    np.testing.assert_array_equal(out, _ACTIVATIONS[activation][0](twin.forward(keep)))
 
 
 @pytest.mark.parametrize("factory", [lambda a: Conv1D(2, 3, activation=a),

@@ -11,7 +11,7 @@ import math
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import DegenerateBatchError, ParameterError, ShapeError
 from .base import Layer, activation_pair, fan_uniform
@@ -29,6 +29,14 @@ class Conv1D(Layer):
     * ``same``:  ``time`` (``kernel - 1`` zeros split left/right, the extra
       one on the right)
     * ``full``:  ``time + kernel - 1`` (``kernel - 1`` zeros on both sides)
+
+    The forward copies the padded input once into a window matrix of
+    ``[batch * t_out, kernel * in_channels]`` rows.  Each row is kernel-major
+    (``x[t], x[t+1], ...``, all channels of one step together), the order of
+    the kernel reshaped to ``[kernel * in_channels, filters]``, so the
+    convolution is one matrix product with neither operand transposed.  In
+    training the cache keeps that window matrix, and the weight gradient is
+    its transpose times the output gradient.
     """
 
     kind = "conv1d"
@@ -68,22 +76,29 @@ class Conv1D(Layer):
     def forward(self, x, train=False, cache=None):
         before, after = self._pad_amounts()
         xp = np.pad(x, ((0, 0), (before, after), (0, 0))) if before or after else x
-        # windows: [batch, t_out, channels, kernel]
-        win = sliding_window_view(xp, self.kernel, axis=1)
-        z = np.tensordot(win, self.params["w"], axes=([3, 2], [0, 1]))
+        xp = np.ascontiguousarray(xp)  # np.pad keeps a Fortran-ordered input's order
+        b, time, ch = xp.shape
+        k, f = self.kernel, self.filters
+        t_out = time - k + 1
+        # In a C-contiguous xp, the k * ch values from xp[i, s, 0] on are the
+        # window at step s.  The channel stride is the item size, not
+        # xp.strides[2]: a C-contiguous size-1 axis may carry any stride.
+        win = as_strided(xp, (b, t_out, k * ch), (*xp.strides[:2], xp.itemsize),
+                         writeable=False)
+        cols = win.reshape(b * t_out, k * ch)
+        z = (cols @ self.params["w"].reshape(k * ch, f)).reshape(b, t_out, f)
         z += self.params["b"]
         a = self._act(z, out=z)
         if cache is not None:
-            cache.update(win=win, a=a, in_time=x.shape[1])
+            cache.update(cols=cols, a=a, in_time=x.shape[1])
         return a
 
     def backward(self, upstream, cache):
         dz = self._act_grad(upstream, cache["a"])
         t_out = dz.shape[1]
-        dw = np.tensordot(cache["win"], dz, axes=([0, 1], [0, 1]))  # [ch, k, f]
-        dw = dw.transpose(1, 0, 2)
-        db = dz.sum(axis=(0, 1))
         w = self.params["w"]
+        dw = (cache["cols"].T @ dz.reshape(-1, self.filters)).reshape(w.shape)
+        db = dz.sum(axis=(0, 1))
         before, _ = self._pad_amounts()
         dxp = np.zeros((dz.shape[0], t_out + self.kernel - 1, w.shape[1]))
         for j in range(self.kernel):

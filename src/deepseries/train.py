@@ -28,12 +28,15 @@ def loss_and_grad(kind: str, prediction, target) -> tuple[float, np.ndarray]:
 
     ``mse`` and ``mae`` average over every element; ``cross_entropy``
     averages the per-row negative log likelihood and expects prediction rows
-    that already sum to one (softmax outputs).
+    that already sum to one (softmax outputs).  An empty batch has no mean
+    and raises ``DataError``.
     """
     p = as_array(prediction)
     t = as_array(target)
     if p.shape != t.shape:
         raise ShapeError(f"prediction {p.shape} and target {t.shape} differ")
+    if p.size == 0:
+        raise DataError(f"{kind} loss of an empty batch (prediction {p.shape})")
     if kind == "mse":
         d = p - t
         return float((d * d).mean()), (2.0 / d.size) * d
@@ -284,11 +287,16 @@ def two_phase_autoencoder_fit(pair, train_set, val_set, config: TrainConfig,
 
 
 def accuracy(predictions, targets) -> float:
-    """Fraction of argmax matches; targets may be one-hot rows or class ids."""
+    """Fraction of argmax matches; targets may be one-hot rows or class ids.
+
+    Raises MetricUndefinedError on an empty batch.
+    """
     p = as_array(predictions)
     t = as_array(targets)
     if p.ndim != 2:
         raise ShapeError(f"accuracy expects [batch, classes] scores, got {p.shape}")
+    if p.size == 0:
+        raise MetricUndefinedError(f"accuracy of an empty batch (scores {p.shape})")
     labels = t.argmax(axis=1) if t.ndim == 2 else t.astype(int)
     if labels.shape[0] != p.shape[0]:
         raise ShapeError("prediction and target counts differ")
@@ -296,10 +304,13 @@ def accuracy(predictions, targets) -> float:
 
 
 def mean_absolute_error(predictions, targets) -> float:
+    """Mean of ``|p - t|``; raises MetricUndefinedError on an empty batch."""
     p = as_array(predictions)
     t = as_array(targets)
     if p.shape != t.shape:
         raise ShapeError(f"prediction {p.shape} and target {t.shape} differ")
+    if p.size == 0:
+        raise MetricUndefinedError(f"mean absolute error of an empty batch ({p.shape})")
     return float(np.abs(p - t).mean())
 
 

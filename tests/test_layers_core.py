@@ -4,7 +4,7 @@ expected value below was computed by hand from the printed formulas."""
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from deepseries.errors import DegenerateBatchError, ParameterError, ShapeError
 from deepseries.layers import (
@@ -119,6 +119,62 @@ def test_pool_max_backward_routes_to_first_tie():
     m.forward(x, train=True)
     m.backward(np.ones((1, 1, 1)))
     np.testing.assert_allclose(m.last_input_grads["x0"].ravel(), [1.0, 0.0])
+
+
+def _conv_reference(x, w, b, padding, upstream):
+    """Output, dw, db and dx of a stride-1 convolution from window views and einsum."""
+    k = w.shape[0]
+    before, after = {"valid": (0, 0), "same": ((k - 1) // 2, k // 2),
+                     "full": (k - 1, k - 1)}[padding]
+    xp = np.pad(x, ((0, 0), (before, after), (0, 0)))
+    win = sliding_window_view(xp, k, axis=1)  # [batch, t_out, channels, kernel]
+    out = np.einsum("btck,kcf->btf", win, w) + b
+    dw = np.einsum("btck,btf->kcf", win, upstream)
+    # dxp[s] = sum over j of upstream[s - j] @ w[j].T: a full correlation of
+    # the upstream gradient with the kernel reversed in time
+    gwin = sliding_window_view(np.pad(upstream, ((0, 0), (k - 1, k - 1), (0, 0))), k, axis=1)
+    dxp = np.einsum("bsfi,icf->bsc", gwin, w[::-1])
+    return out, dw, upstream.sum(axis=(0, 1)), dxp[:, before : before + x.shape[1]]
+
+
+CONV_LAYOUTS = {
+    "contiguous": lambda a: a,
+    "time_reversed": lambda a: np.ascontiguousarray(a[:, ::-1])[:, ::-1],
+    "channel_slice": lambda a: np.pad(a, ((0, 0), (0, 0), (1, 2)))[:, :, 1:-2],
+    "fortran": np.asfortranarray,
+    # C-contiguous by numpy's flags: the stride of a size-1 axis is never read
+    "zero_unit_strides": lambda a: as_strided(
+        a, strides=[0 if n == 1 else st for n, st in zip(a.shape, a.strides)],
+        writeable=False),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(CONV_LAYOUTS))
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("kernel", [1, 3, 7])
+@pytest.mark.parametrize("padding", ["valid", "same", "full"])
+def test_conv_matches_window_einsum_reference(padding, kernel, channels, layout):
+    rng = np.random.default_rng(kernel * 10 + channels)
+    layer = Conv1D(4, kernel, padding=padding)
+    layer.bind([(9, channels)], rng)
+    layer.params["b"][...] = rng.normal(size=4)
+    w, b = layer.params["w"].copy(), layer.params["b"].copy()
+    for batch in (0, 1, 5):
+        base = rng.normal(size=(batch, 9, channels))
+        x = CONV_LAYOUTS[layout](base.copy())
+        np.testing.assert_array_equal(x, base)
+        cache = {}
+        out = layer.forward(x, train=True, cache=cache)
+        up = rng.normal(size=out.shape)
+        dx, grads = layer.backward(up, cache)
+        ref_out, ref_dw, ref_db, ref_dx = _conv_reference(base, w, b, padding, up)
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out, ref_out, **tol)
+        np.testing.assert_array_equal(layer.forward(x), out)
+        np.testing.assert_allclose(grads["w"], ref_dw, **tol)
+        np.testing.assert_allclose(grads["b"], ref_db, **tol)
+        np.testing.assert_allclose(dx, ref_dx, **tol)
+        np.testing.assert_array_equal(x, base)
 
 
 # (window, stride): max-pool windows tile the series, so the stride is the window

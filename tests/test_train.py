@@ -71,6 +71,13 @@ def test_loss_shape_mismatch_and_unknown_kind():
         loss_and_grad("huber", [1.0], [1.0])
 
 
+@pytest.mark.parametrize("kind", ["mse", "mae", "cross_entropy"])
+def test_loss_rejects_an_empty_batch(kind):
+    # mse used to divide by zero and mae to return a NaN loss
+    with pytest.raises(DataError, match="empty batch"):
+        loss_and_grad(kind, np.zeros((0, 3)), np.zeros((0, 3)))
+
+
 @pytest.mark.parametrize("kind", ["mse", "cross_entropy"])
 def test_loss_gradient_matches_finite_differences(kind):
     rng = np.random.default_rng(0)
@@ -416,6 +423,17 @@ def test_mean_absolute_error_oracle():
     assert mean_absolute_error([[1.0, 2.0]], [[2.0, 0.0]]) == 1.5
     with pytest.raises(ShapeError):
         mean_absolute_error([1.0], [1.0, 2.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("metric", ["accuracy", "mae"])
+def test_metrics_reject_an_empty_batch(metric):
+    # both used to return NaN with "Mean of empty slice"
+    fn = accuracy if metric == "accuracy" else mean_absolute_error
+    with pytest.raises(MetricUndefinedError, match="empty batch"):
+        fn(np.zeros((0, 3)), np.zeros((0, 3)))
+    with pytest.raises(MetricUndefinedError, match="empty batch"):
+        evaluate(metric, np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def brute_force_auc(scores, labels):

@@ -177,6 +177,18 @@ def test_conv_matches_window_einsum_reference(padding, kernel, channels, layout)
         np.testing.assert_array_equal(x, base)
 
 
+@pytest.mark.parametrize("activation", ["linear", "relu"])
+def test_conv_window_matrix_and_output_share_one_allocation(activation):
+    # One block for both keeps a batch-256 forward's heap growth clear of the
+    # point where glibc hands the freed heap top back (see Conv1D.forward).
+    layer = Conv1D(4, 3, activation=activation)
+    layer.bind([(9, 2)], np.random.default_rng(0))
+    cache = {}
+    out = layer.forward(np.ones((5, 9, 2)), train=True, cache=cache)
+    assert cache["cols"].base is out.base
+    assert not np.shares_memory(cache["cols"], out)
+
+
 # (window, stride): max-pool windows tile the series, so the stride is the window
 POOL_SHAPES = [(w, w) for w in range(1, 5)]
 

@@ -230,9 +230,10 @@ def _classify_sets(cfg: dict):
         arr = np.asarray(raw.array)
         if arr.shape[1] < 2:
             raise DataError("classify CSV needs feature columns plus a final label column")
-        feats, labels = arr[:, :-1], arr[:, -1].astype(int)
-        if labels.min() < 0:
+        feats, labels = arr[:, :-1], arr[:, -1]
+        if not ((labels >= 0) & (labels == np.floor(labels))).all():
             raise DataError("class labels must be non-negative integers")
+        labels = labels.astype(int)
         classes = int(labels.max()) + 1
         if classes < 2:
             raise DataError("classify needs at least two classes")
@@ -240,7 +241,8 @@ def _classify_sets(cfg: dict):
             np.asarray(data.pad_or_truncate(row[:, None], cfg["window"]).array)
             for row in feats
         ])
-        onehot = np.eye(classes)[labels]
+        onehot = np.zeros((labels.size, classes))
+        onehot[np.arange(labels.size), labels] = 1.0
         ds = data.SeriesDataset(segs, onehot)
     else:
         opts = _synth_options(cfg)

@@ -177,12 +177,16 @@ def anomaly_windows(series, labels, window: int, horizon: int, stride: int = 1):
 
     Returns ``(dataset, target_anomalous, clean)`` where ``target_anomalous``
     flags windows whose target block touches an anomaly and ``clean`` flags
-    windows free of anomalies in both blocks.
+    windows free of anomalies in both blocks.  Labels must be 0 or 1
+    (DataError otherwise).
     """
     a = _series(series)
-    y = as_array(labels).ravel().astype(bool)
+    y = as_array(labels).ravel()
     if y.shape[0] != a.shape[0]:
         raise ShapeError("labels must align with the series steps")
+    if not ((y == 0) | (y == 1)).all():
+        raise DataError("anomaly labels must be 0 or 1")
+    y = y == 1
     ds = windowize(a, window, horizon, stride)
     starts = np.arange(0, a.shape[0] - window - horizon + 1, stride)
     tgt = np.array([y[s + window : s + window + horizon].any() for s in starts])
@@ -199,7 +203,7 @@ def anomaly_harness(model: Model, windows: SeriesDataset, true_labels, top_k: in
     n = windows.n
     if not (1 <= top_k <= n):
         raise ParameterError(f"top_k must lie in [1, {n}], got {top_k}")
-    y = as_array(true_labels).ravel().astype(int)
+    y = as_array(true_labels).ravel()
     if y.shape[0] != n:
         raise ShapeError("true_labels must align with the windows")
     ts = windows.targets.array

@@ -3,18 +3,15 @@ spatial+temporal gating, and a tanh score pool over time."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ParameterError
-from .base import Layer, fan_uniform, sigmoid
-from .core import (ActivationLayer, Add, BatchNorm1D, ChannelMean, Conv1D, Multiply, PadTime,
-                   Pool1D, Upsample1D)
+from .core import (ActivationLayer, Add, BatchNorm1D, ChannelMean, Conv1D, Dense, Multiply,
+                   PadTime, Pool1D, Reshape, SumTime, Upsample1D)
 from .subgraph import NodeSpec, Subgraph
 
 __all__ = ["SEBlock", "RTABlock", "SpatialTemporalAttention", "TanhAttention"]
 
 
-class SEBlock(Layer):
+class SEBlock(Subgraph):
     """Squeeze-and-excite channel gate.
 
     Global average pool over time, a bottleneck dense pair
@@ -30,41 +27,15 @@ class SEBlock(Layer):
             raise ParameterError("ratio must be >= 1")
         self.ratio = int(ratio)
 
-    def out_shape(self, in_shapes):
-        return self._series(in_shapes)
-
-    def _build(self, in_shapes, rng):
-        ch = in_shapes[0][1]
-        red = max(1, ch // self.ratio)
-        self.params["w1"] = fan_uniform(rng, (ch, red), ch, red)
-        self.params["b1"] = np.zeros(red)
-        self.params["w2"] = fan_uniform(rng, (red, ch), red, ch)
-        self.params["b2"] = np.zeros(ch)
-
-    def forward(self, x, train=False, cache=None):
-        s = x.mean(axis=1)
-        h_pre = s @ self.params["w1"] + self.params["b1"]
-        h = np.maximum(h_pre, 0.0)
-        g = sigmoid(h @ self.params["w2"] + self.params["b2"])
-        if cache is not None:
-            cache.update(x=x, s=s, h_pre=h_pre, h=h, g=g)
-        return x * g[:, None, :]
-
-    def backward(self, upstream, cache):
-        x, s, h_pre, h, g = cache["x"], cache["s"], cache["h_pre"], cache["h"], cache["g"]
-        t = x.shape[1]
-        dx = upstream * g[:, None, :]
-        dg = (upstream * x).sum(axis=1)
-        dg_pre = dg * g * (1.0 - g)
-        dw2 = h.T @ dg_pre
-        db2 = dg_pre.sum(axis=0)
-        dh = dg_pre @ self.params["w2"].T
-        dh_pre = dh * (h_pre > 0.0)
-        dw1 = s.T @ dh_pre
-        db1 = dh_pre.sum(axis=0)
-        ds = dh_pre @ self.params["w1"].T
-        dx += ds[:, None, :] / t
-        return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    def _nodes(self, in_shape):
+        ch = in_shape[1]
+        return [
+            NodeSpec("squeeze", Pool1D(op="global_avg"), ["x"]),
+            NodeSpec("fc1", Dense(max(1, ch // self.ratio), "relu"), ["squeeze"]),
+            NodeSpec("fc2", Dense(ch, "sigmoid"), ["fc1"]),
+            NodeSpec("gate", Reshape((1, ch)), ["fc2"]),
+            NodeSpec("out", Multiply(), ["x", "gate"]),
+        ]
 
 
 class RTABlock(Subgraph):
@@ -146,7 +117,7 @@ class SpatialTemporalAttention(Subgraph):
         ])
 
 
-class TanhAttention(Layer):
+class TanhAttention(Subgraph):
     """Score-and-pool attention over time.
 
     Per-step scores come from a tanh dense layer followed by a linear
@@ -162,36 +133,14 @@ class TanhAttention(Layer):
             raise ParameterError("att_units must be >= 1")
         self.att_units = int(att_units)
 
-    def out_shape(self, in_shapes):
-        return (self._series(in_shapes)[1],)
-
-    def _build(self, in_shapes, rng):
-        ch, a = in_shapes[0][1], self.att_units
-        self.params["w1"] = fan_uniform(rng, (ch, a), ch, a)
-        self.params["b1"] = np.zeros(a)
-        self.params["w2"] = fan_uniform(rng, (a, 1), a, 1)
-        self.params["b2"] = np.zeros(1)
-
-    def forward(self, x, train=False, cache=None):
-        e = np.tanh(x @ self.params["w1"] + self.params["b1"])
-        score = e @ self.params["w2"] + self.params["b2"]  # [b, t, 1]
-        score = score - score.max(axis=1, keepdims=True)
-        alpha = np.exp(score)
-        alpha /= alpha.sum(axis=1, keepdims=True)
-        if cache is not None:
-            cache.update(x=x, e=e, alpha=alpha)
-        return (alpha * x).sum(axis=1)
-
-    def backward(self, upstream, cache):
-        x, e, alpha = cache["x"], cache["e"], cache["alpha"]
-        dalpha = (upstream[:, None, :] * x).sum(axis=2, keepdims=True)
-        dx = alpha * upstream[:, None, :]
-        dscore = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
-        de = dscore @ self.params["w2"].T
-        dw2 = np.tensordot(e, dscore, axes=([0, 1], [0, 1]))
-        db2 = dscore.sum(axis=(0, 1))
-        dpre = de * (1.0 - e * e)
-        dw1 = np.tensordot(x, dpre, axes=([0, 1], [0, 1]))
-        db1 = dpre.sum(axis=(0, 1))
-        dx += dpre @ self.params["w1"].T
-        return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    def _nodes(self, in_shape):
+        t = in_shape[0]
+        return [
+            NodeSpec("fc1", Dense(self.att_units, "tanh"), ["x"]),
+            NodeSpec("fc2", Dense(1), ["fc1"]),
+            NodeSpec("score", Reshape((t,)), ["fc2"]),
+            NodeSpec("alpha", ActivationLayer("softmax"), ["score"]),
+            NodeSpec("weight", Reshape((t, 1)), ["alpha"]),
+            NodeSpec("weighted", Multiply(), ["x", "weight"]),
+            NodeSpec("out", SumTime(), ["weighted"]),
+        ]

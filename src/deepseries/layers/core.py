@@ -184,7 +184,11 @@ class Pool1D(Layer):
 
 
 class Dense(Layer):
-    """Affine map on feature vectors with an optional activation."""
+    """Affine map on the last axis with an optional activation.
+
+    The input is a feature vector or a ``[time, features]`` series, which
+    is mapped step by step with the same weights.
+    """
 
     kind = "dense"
 
@@ -196,14 +200,14 @@ class Dense(Layer):
         self._act, self._act_grad = activation_pair(activation)
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1 or len(in_shapes[0]) != 1:
+        if len(in_shapes) != 1 or len(in_shapes[0]) not in (1, 2):
             raise ShapeError(
-                f"dense expects one flat [features] input, got {in_shapes}; flatten first"
+                f"dense expects one [features] or [time, features] input, got {in_shapes}"
             )
-        return (self.units,)
+        return in_shapes[0][:-1] + (self.units,)
 
     def _build(self, in_shapes, rng):
-        n = in_shapes[0][0]
+        n = in_shapes[0][-1]
         self.params["w"] = fan_uniform(rng, (n, self.units), fan_in=n, fan_out=self.units)
         self.params["b"] = np.zeros(self.units)
 
@@ -216,9 +220,10 @@ class Dense(Layer):
         return a
 
     def backward(self, upstream, cache):
-        x = cache["x"]
+        w = self.params["w"]
         dz = self._act_grad(upstream, cache["a"])
-        return dz @ self.params["w"].T, {"w": x.T @ dz, "b": dz.sum(axis=0)}
+        x2, dz2 = cache["x"].reshape(-1, w.shape[0]), dz.reshape(-1, self.units)
+        return dz @ w.T, {"w": x2.T @ dz2, "b": dz2.sum(axis=0)}
 
 
 class BatchNorm1D(Layer):
@@ -530,6 +535,23 @@ class ChannelMean(Layer):
     def backward(self, upstream, cache):
         c = cache["channels"]
         return np.repeat(upstream / c, c, axis=2), {}
+
+
+class SumTime(Layer):
+    """Sum over time: ``[time, channels] -> [channels]``."""
+
+    kind = "sum_time"
+
+    def out_shape(self, in_shapes):
+        return (self._series(in_shapes)[1],)
+
+    def forward(self, x, train=False, cache=None):
+        if cache is not None:
+            cache.update(time=x.shape[1])
+        return x.sum(axis=1)
+
+    def backward(self, upstream, cache):
+        return np.repeat(upstream[:, None], cache["time"], axis=1), {}
 
 
 class PadTime(Layer):

@@ -131,10 +131,6 @@ def manifest(nodes: dict[str, NodeSpec], attr: str,
             for k, v in getattr(spec.layer, attr).items()}
 
 
-def _alias(node: str, name: str) -> str:
-    return f"{node}_{name}" if node else name
-
-
 class Subgraph(Layer):
     """A single-input ``[time, channels]`` layer made of a node list.
 
@@ -142,11 +138,14 @@ class Subgraph(Layer):
     or earlier nodes; the last node is the output.  Binding binds the inner
     layers in declaration order from the one generator it is given.  Inner
     parameters and buffers appear as aliases named ``<node>_<name>`` (plain
-    ``<name>`` for a node named ``""``).  Subclasses whose nodes depend on
-    the input shape override ``_nodes``.
+    ``<name>`` for a node named ``""``), renamed by ``RENAMES``: the dense
+    pairs ``fc1``/``fc2`` of the squeeze-excite and tanh attention blocks keep
+    the ``w1 b1 w2 b2`` names their weights files carry.  Subclasses whose
+    nodes depend on the input shape override ``_nodes``.
     """
 
     kind = "subgraph"
+    RENAMES = {"fc1_w": "w1", "fc1_b": "b1", "fc2_w": "w2", "fc2_b": "b2"}
 
     def __init__(self, nodes: Sequence[NodeSpec] = ()):
         super().__init__()
@@ -156,6 +155,10 @@ class Subgraph(Layer):
 
     def _nodes(self, in_shape) -> list[NodeSpec]:
         return self._specs
+
+    def _key(self, node: str, name: str) -> str:
+        alias = f"{node}_{name}" if node else name
+        return self.RENAMES.get(alias, alias)
 
     def _walk(self, in_shape, rngs=None) -> tuple[dict[str, NodeSpec], tuple[int, ...]]:
         """The checked node dict and the output shape."""
@@ -171,8 +174,8 @@ class Subgraph(Layer):
     def _build(self, in_shapes, rng):
         self.nodes = self._walk(in_shapes[0], itertools.repeat(rng))[0]
         self._drops = drop_plan(self.nodes, next(reversed(self.nodes)))
-        self.params = manifest(self.nodes, "params", _alias)
-        self.buffers = manifest(self.nodes, "buffers", _alias)
+        self.params = manifest(self.nodes, "params", self._key)
+        self.buffers = manifest(self.nodes, "buffers", self._key)
 
     def forward(self, x, train=False, cache=None):
         values = {INPUT: x}
@@ -181,5 +184,5 @@ class Subgraph(Layer):
 
     def backward(self, upstream, cache):
         up = {next(reversed(self.nodes)): upstream}
-        grads = backward_nodes(self.nodes, cache, up, _alias)
+        grads = backward_nodes(self.nodes, cache, up, self._key)
         return up[INPUT], grads

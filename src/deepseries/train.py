@@ -317,15 +317,18 @@ def mean_absolute_error(predictions, targets) -> float:
 def auc(scores, labels) -> float:
     """Rank-based (Mann-Whitney) AUC with ties counted as half.
 
-    Raises MetricUndefinedError unless both classes are present and every
-    score is finite.
+    Raises MetricUndefinedError unless every label is 0 or 1, both classes
+    are present and every score is finite.
     """
     s = as_array(scores).ravel()
-    y = as_array(labels).ravel().astype(int)
+    y = as_array(labels).ravel()
     if s.shape != y.shape:
         raise ShapeError("scores and labels differ in length")
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
+    pos = y == 1
+    if not (pos | (y == 0)).all():
+        raise MetricUndefinedError("AUC needs labels of 0 and 1 only")
+    n_pos = int(pos.sum())
+    n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("AUC needs both classes present")
     if not np.isfinite(s).all():
@@ -336,7 +339,7 @@ def auc(scores, labels) -> float:
     first = np.cumsum(count) - count
     ranks = np.empty(len(s))
     ranks[order] = (first + 0.5 * (count + 1))[tie]
-    r_pos = ranks[y == 1].sum()
+    r_pos = ranks[pos].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -193,6 +193,42 @@ def test_train_classify_from_csv(tmp_path, capsys):
     assert "classes = 2" in (out_dir / "manifest.txt").read_text()
 
 
+def _classify_csv(path, labels):
+    rng = np.random.default_rng(0)
+    lines = [",".join(f"f{j}" for j in range(8)) + ",label"]
+    for label in labels:
+        lines.append(",".join(f"{v:.4f}" for v in rng.normal(size=8)) + f",{label}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("bad", ["2.5", "-0.5", "-1"])
+def test_classify_labels_that_are_not_class_indices_exit_4(tmp_path, capsys, bad):
+    # 2.5 used to train as class 2, and -0.5 passed a check made after the int cast
+    labels = [i % 2 for i in range(11)] + [bad]
+    csv_path = _classify_csv(tmp_path / "segments.csv", labels)
+    code, _, err = run_cli(
+        ["train", "--task", "classify", "--model", "ExampleModel",
+         "--csv", str(csv_path), "--window", "16", "--epochs", "1",
+         "--out", str(tmp_path / "x")],
+        capsys,
+    )
+    assert code == 4
+    assert "class labels must be non-negative integers" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_classify_csv_targets_are_one_hot_rows(tmp_path):
+    labels = [0, 2, 1, 2, 0, 1, 2, 1, 0, 2, 1, 0, 2]
+    path = _classify_csv(tmp_path / "segments.csv", [f"{v}.0" for v in labels])
+    sets, _, _, extra = cli._classify_sets({"csv": str(path), "window": 16, "seed": 4})
+    assert extra["classes"] == 3
+    got = np.concatenate([np.asarray(s.targets.array) for s in sets])
+    assert got.shape == (13, 3)
+    assert set(np.unique(got)) == {0.0, 1.0} and (got.sum(axis=1) == 1.0).all()
+    np.testing.assert_array_equal(got.sum(axis=0), np.bincount(labels))
+
+
 def test_config_file_under_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -554,6 +590,23 @@ def test_anomaly_with_no_anomalies_exits_4(tmp_path, capsys):
     )
     assert code == 4
     assert "single class" in err
+
+
+@pytest.mark.parametrize("bad", ["0.3", "2", "7"])
+def test_anomaly_labels_other_than_0_and_1_exit_4(tmp_path, capsys, bad):
+    # such labels used to be read as anomalies, and the run exited 0
+    rng = np.random.default_rng(0)
+    lines = ["load,label"] + [f"{v:.4f},{bad if i % 50 == 7 else 0}"
+                              for i, v in enumerate(rng.normal(1.0, 0.1, 400))]
+    path = tmp_path / "labels.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        ["train", "--task", "anomaly", "--model", "ExampleModel",
+         "--csv", str(path), "--epochs", "1", "--out", str(tmp_path / "x")],
+        capsys,
+    )
+    assert code == 4
+    assert "anomaly labels must be 0 or 1" in err
 
 
 def test_console_entrypoint_runs():

@@ -196,6 +196,20 @@ def test_anomaly_windows_flags():
         anomaly_windows(np.arange(8.0), [0, 1], 3, 1)
 
 
+@pytest.mark.parametrize("bad", [0.3, 2.0, 7.0, -1.0, np.nan])
+def test_anomaly_windows_rejects_labels_other_than_0_and_1(bad):
+    labels = [0, 0, 0, 1, 0, bad, 0, 0]
+    with pytest.raises(DataError, match="0 or 1"):
+        anomaly_windows(np.arange(8.0), labels, window=3, horizon=1)
+
+
+def test_anomaly_windows_accepts_boolean_labels():
+    labels = np.array([0, 0, 0, 1, 0, 0, 0, 0], dtype=bool)
+    _, tgt, clean = anomaly_windows(np.arange(8.0), labels, window=3, horizon=1)
+    np.testing.assert_array_equal(tgt, [True, False, False, False, False])
+    np.testing.assert_array_equal(clean, [False, False, False, False, True])
+
+
 class _ZeroModel:
     """Predicts all zeros, so the error score is the target's mean |value|."""
 
@@ -231,6 +245,8 @@ def test_anomaly_harness_validation():
         anomaly_harness(_ZeroModel(1), ds, [0, 1], top_k=1)
     with pytest.raises(MetricUndefinedError):
         anomaly_harness(_ZeroModel(1), ds, [0, 0, 0], top_k=1)
+    with pytest.raises(MetricUndefinedError, match="labels of 0 and 1"):
+        anomaly_harness(_ZeroModel(1), ds, [0, 1, 0.5], top_k=1)  # once read as 0
 
 
 # ------------------------------------------------------------------- generators

@@ -30,7 +30,7 @@ from deepseries.layers import (
     TanhAttention,
     Upsample1D,
 )
-from deepseries.layers.core import ChannelMean, Multiply, PadTime, ReverseTime
+from deepseries.layers.core import ChannelMean, Multiply, PadTime, ReverseTime, SumTime
 from deepseries.layers.subgraph import NodeSpec, Subgraph
 from conftest import layer_gradcheck, single_node_model, fd_gradcheck
 
@@ -47,6 +47,9 @@ CASES = [
     ("pool_global_avg", lambda: Pool1D(op="global_avg"), (10, 3), {}),
     ("dense_sigmoid", lambda: Dense(5, activation="sigmoid"), (7,), {}),
     ("dense_softmax", lambda: Dense(5, activation="softmax"), (7,), {}),
+    # the same weights on every step of a [time, features] series
+    ("dense_series_tanh", lambda: Dense(4, activation="tanh"), (6, 3), {}),
+    ("dense_series_softmax", lambda: Dense(3, activation="softmax"), (5, 2), {}),
     ("batchnorm_train", lambda: BatchNorm1D(), (8, 3), {"batch": 4}),
     ("lstm_last", lambda: LSTM(4), (7, 3), {}),
     ("lstm_sequences", lambda: LSTM(4, return_sequences=True), (7, 3), {}),
@@ -71,6 +74,7 @@ CASES = [
     ("channel_mean", lambda: ChannelMean(), (6, 3), {}),
     ("pad_time", lambda: PadTime(9), (6, 2), {}),
     ("reverse_time", lambda: ReverseTime(), (6, 2), {}),
+    ("sum_time", lambda: SumTime(), (6, 3), {}),
     # x * mean_c(x): the [time, 1] operand broadcasts over channels
     ("multiply_broadcast", lambda: Subgraph([
         NodeSpec("m", ChannelMean(), ["x"]),

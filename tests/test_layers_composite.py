@@ -11,7 +11,9 @@ from deepseries.layers import (
     ActivationLayer,
     Bidirectional,
     RTABlock,
+    SEBlock,
     SpatialTemporalAttention,
+    TanhAttention,
 )
 from deepseries.layers.core import ChannelMean, Multiply, PadTime, ReverseTime
 from deepseries.layers.subgraph import NodeSpec, Subgraph
@@ -42,13 +44,19 @@ def _rnn_params(ch, gates):
             for p, shape in (("wx", (ch, gates)), ("wh", (3, gates)), ("b", (gates,)))]
 
 
+# squeeze-excite and tanh attention keep the w1 b1 w2 b2 names of their weights files
+def _dense_pair(ch, hidden, out):
+    return [("w1", (ch, hidden)), ("b1", (hidden,)), ("w2", (hidden, out)), ("b2", (out,))]
+
+
 MANIFESTS = [
     ("rta_short", lambda: RTABlock(4, 3, 2), (8, 2), _rta_params(2, 4, True), _rta_buffers(4)),
     ("rta_identity", lambda: RTABlock(3, 3, 2), (8, 3), _rta_params(3, 3, False),
      _rta_buffers(3)),
     ("st_attention", lambda: SpatialTemporalAttention(2, 3), (9, 4),
-     [("w1", (4, 2)), ("b1", (2,)), ("w2", (2, 4)), ("b2", (4,)),
-      ("t_w", (3, 1, 1)), ("t_b", (1,))], []),
+     _dense_pair(4, 2, 4) + [("t_w", (3, 1, 1)), ("t_b", (1,))], []),
+    ("se_block", lambda: SEBlock(2), (7, 6), _dense_pair(6, 3, 6), []),
+    ("tanh_attention", lambda: TanhAttention(5), (8, 3), _dense_pair(3, 5, 1), []),
     ("bilstm", lambda: Bidirectional(LSTM(3)), (6, 2), _rnn_params(2, 12), []),
     ("bigru", lambda: Bidirectional(GRU(3, return_sequences=True)), (6, 2),
      _rnn_params(2, 9), []),
@@ -63,6 +71,37 @@ def test_composite_manifest_is_pinned(name, factory, shape, params, buffers):
         [(f"L/{k}", s) for k, s in params]
     assert [(k, v.shape) for k, v in m.buffers().items()] == \
         [(f"L/{k}", s) for k, s in buffers]
+
+
+@pytest.mark.parametrize("name,factory,shape,params,buffers", MANIFESTS,
+                         ids=[c[0] for c in MANIFESTS])
+def test_composite_backward_names_every_param(name, factory, shape, params, buffers):
+    layer = factory()
+    single_node_model(layer, shape)
+    cache = {}
+    x = np.random.default_rng(1).normal(size=(3, *shape))
+    y = layer.forward(x, train=True, cache=cache)
+    dx, grads = layer.backward(np.ones_like(y), cache)
+    assert dx.shape == x.shape
+    assert sorted(grads) == sorted(layer.params)  # backward finds them in reverse order
+    assert all(grads[k].shape == p.shape for k, p in layer.params.items())
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_composite_blocks_have_no_pass_of_their_own():
+    # Every composite runs the shared node loops; none re-implements a
+    # forward, a backward, a parameter build or shape inference.
+    blocks = {c for c in _subclasses(Subgraph) if c.__module__.startswith("deepseries.layers")}
+    assert {c.__name__ for c in blocks} == {
+        "Bidirectional", "RTABlock", "SEBlock", "SpatialTemporalAttention", "TanhAttention"}
+    own = {c.__name__: sorted({"forward", "backward", "_build", "out_shape"} & set(vars(c)))
+           for c in blocks}
+    assert own == {c.__name__: [] for c in blocks}
 
 
 def test_subgraph_params_alias_the_inner_layers():

@@ -271,6 +271,19 @@ def test_dense_softmax_rows_sum_to_one():
     np.testing.assert_allclose(np.asarray(out).sum(axis=1), np.ones(5), atol=1e-12)
 
 
+def test_dense_maps_each_step_of_a_series():
+    m = single_node_model(Dense(3, activation="tanh"), (4, 2), seed=5)
+    L = m.nodes["L"].layer
+    assert m.output_shape == (4, 3)
+    x = np.random.default_rng(1).normal(size=(2, 4, 2))
+    out = np.asarray(m.forward(x).array)
+    for t in range(4):
+        np.testing.assert_allclose(out[:, t], np.tanh(x[:, t] @ L.params["w"] + L.params["b"]),
+                                   rtol=1e-13)
+    with pytest.raises(ShapeError, match=r"\[time, features\]"):
+        single_node_model(Dense(3), (4, 2, 2))
+
+
 def test_batchnorm_train_matches_hand_stats():
     m = single_node_model(BatchNorm1D(), (2, 1))
     L = m.nodes["L"].layer

@@ -472,6 +472,18 @@ def test_auc_needs_both_classes():
         auc([0.1], [1, 0])
 
 
+@pytest.mark.parametrize("labels", [[0, 1, 2, 1], [0, 0.5, 1, 1], [0, -1, 1, 1],
+                                    [0, np.nan, 1, 1]])
+def test_auc_rejects_labels_other_than_0_and_1(labels):
+    # [0, 1, 2, 1] used to give 1.5; [0, 0.5, 1, 1] read as [0, 0, 1, 1]
+    with pytest.raises(MetricUndefinedError, match="labels of 0 and 1"):
+        auc([0.1, 0.2, 0.3, 0.4], labels)
+
+
+def test_auc_accepts_boolean_labels():
+    assert auc([0.9, 0.8, 0.1], [True, False, False]) == 1.0
+
+
 def test_auc_rejects_non_finite_scores():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(MetricUndefinedError, match="finite scores"):

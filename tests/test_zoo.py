@@ -89,7 +89,15 @@ MANIFEST_SHA256 = {
     "ZhangJin": "d66e3ecd9413fc5c371dc79f77a9f3df0cccc582977d2ee3585275bf53631dc6",
     "ZhengZhenyu": "6d027b596b12f7c803ef5e617c8a9ff23ba179a0b47944b69f71dbb81f57b577",
     "ExampleModel": "ff324dbf0b06b279bb41621b04d09cc3408575f4c0e24ca1c04aeaf36db367f9",
+    # the tanh attention head is off by default, so the zoo pin never builds it
+    "YaoQihang attention=True":
+        "b7d0a1ad32c04f9e4797e5a077c17bfff664385840f79a30fe210e409c3a7c03",
 }
+
+
+def _manifest_sha256(model) -> str:
+    text = "\n".join(f"{k} {v.shape}" for k, v in model.state().items())
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_catalogue_contents():
@@ -107,9 +115,13 @@ def test_family_contract_matches_built_graph(name):
 
 @pytest.mark.parametrize("name", zoo.names())
 def test_weights_manifest_pinned(name):
-    state = build_model(name, (256, 1)).state()
-    text = "\n".join(f"{k} {v.shape}" for k, v in state.items())
-    assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST_SHA256[name]
+    assert _manifest_sha256(build_model(name, (256, 1))) == MANIFEST_SHA256[name]
+
+
+def test_attention_head_manifest_pinned():
+    model = build_model("YaoQihang", (256, 1), attention=True)
+    assert model.kind_counts()["tanh_attention"] == 1
+    assert _manifest_sha256(model) == MANIFEST_SHA256["YaoQihang attention=True"]
 
 
 @pytest.mark.parametrize("name", zoo.names())

@@ -170,14 +170,15 @@ def _filters(h, n: int) -> list:
     return h["filters"]
 
 
-def _conv_pool_chain(b, cur, h, *, relu=True, pool_after_each=True,
-                     first_kernel=None, prefix=""):
-    act = "relu" if relu else "linear"
-    for i, f in enumerate(h["filters"]):
-        k = first_kernel if (i == 0 and first_kernel) else h["kernel"]
-        cur = b.add(f"{prefix}conv{i + 1}", Conv1D(f, k, activation=act), cur)
-        if pool_after_each:
-            cur = b.add(f"{prefix}pool{i + 1}", Pool1D(h["pool"]), cur)
+def _stages(b, cur, h, *after, activation="relu"):
+    """``conv{i}`` for each of ``h["filters"]``, each followed by the ``(tag,
+    factory)`` pairs of ``after`` as ``{tag}{i}``; the first conv takes
+    ``h["first_kernel"]`` when the entry has one."""
+    for i, f in enumerate(h["filters"], 1):
+        k = h["first_kernel"] if i == 1 and "first_kernel" in h else h["kernel"]
+        cur = b.add(f"conv{i}", Conv1D(f, k, activation=activation), cur)
+        for tag, factory in after:
+            cur = b.add(f"{tag}{i}", factory(), cur)
     return cur
 
 
@@ -208,7 +209,7 @@ def _cai_wenjuan(b, inp, h):
 def _conv_lstm(b, inp, h, lstms=1):
     """Conv/max-pool stages into ``lstms`` stacked LSTMs (``lstm``, or
     ``lstm1``..``lstmN``); only the last one returns a single step."""
-    cur = _conv_pool_chain(b, inp[0], h, first_kernel=h.get("first_kernel"))
+    cur = _stages(b, inp[0], h, ("pool", partial(Pool1D, h["pool"])))
     for i in range(lstms):
         name = "lstm" if lstms == 1 else f"lstm{i + 1}"
         cur = b.add(name, LSTM(h["units"], return_sequences=i < lstms - 1), cur)
@@ -224,7 +225,7 @@ def _gen_minxing(b, inp, h):
 
 
 def _htet_myet_lynn(b, inp, h):
-    cur = _conv_pool_chain(b, inp[0], h, pool_after_each=False)
+    cur = _stages(b, inp[0], h)
     if h["recurrent"] not in ("gru", "lstm"):
         raise ParameterError("recurrent must be 'gru' or 'lstm'")
     inner = LSTM(h["units"]) if h["recurrent"] == "lstm" else GRU(h["units"])
@@ -232,30 +233,19 @@ def _htet_myet_lynn(b, inp, h):
 
 
 def _khan_zulfiqar(b, inp, h):
-    cur = inp[0]
-    for i, f in enumerate(h["filters"]):
-        cur = b.add(f"conv{i + 1}", Conv1D(f, h["kernel"], activation="relu"), cur)
-        cur = b.add(f"drop{i + 1}", Dropout(h["dropout"]), cur)
+    cur = _stages(b, inp[0], h, ("drop", partial(Dropout, h["dropout"])))
     cur = b.add("gru1", GRU(h["units"], return_sequences=True), cur)
     return b.add("gru2", GRU(h["units"]), cur)
 
 
-def _kim_tae_young(b, inp, h):
-    f1, f2 = _filters(h, 2)
-    cur = b.add("conv1", Conv1D(f1, h["kernel"], activation="relu"), inp[0])
-    cur = b.add("pool1", Pool1D(h["pool"]), cur)
-    cur = b.add("conv2", Conv1D(f2, h["kernel"], activation="relu"), cur)
-    return b.add("lstm", LSTM(h["units"]), cur)
-
-
-def _oh_shu_lih(b, inp, h):
+def _pooled_between(b, inp, h, padding="valid"):
+    """Convolutions with ``pool{i}`` between them (none after the last), then an LSTM."""
     cur = inp[0]
-    last = len(h["filters"]) - 1
-    for i, f in enumerate(h["filters"]):
-        cur = b.add(f"conv{i + 1}",
-                    Conv1D(f, h["kernel"], padding="full", activation="relu"), cur)
-        if i < last:  # pooling sits between the convolutions
-            cur = b.add(f"pool{i + 1}", Pool1D(h["pool"]), cur)
+    for i, f in enumerate(h["filters"], 1):
+        if i > 1:
+            cur = b.add(f"pool{i - 1}", Pool1D(h["pool"]), cur)
+        cur = b.add(f"conv{i}", Conv1D(f, h["kernel"], padding=padding, activation="relu"),
+                    cur)
     return b.add("lstm", LSTM(h["units"]), cur)
 
 
@@ -273,18 +263,12 @@ def _shi_haotian(b, inp, h):
 def _wang_kejun(b, inp, h):
     cur = b.add("lstm1", LSTM(h["units"], return_sequences=True), inp[0])
     cur = b.add("lstm2", LSTM(h["units"], return_sequences=True), cur)
-    for i, f in enumerate(h["filters"]):
-        cur = b.add(f"conv{i + 1}", Conv1D(f, h["kernel"], activation="relu"), cur)
-    return cur
+    return _stages(b, cur, h)
 
 
 def _wei_xiaoyan(b, inp, h):
-    cur = inp[0]
-    for i, f in enumerate(h["filters"]):
-        cur = b.add(f"conv{i + 1}",
-                    Conv1D(f, h["kernel"], activation="leaky_relu"), cur)
-        cur = b.add(f"pool{i + 1}", Pool1D(h["pool"]), cur)
-        cur = b.add(f"bn{i + 1}", BatchNorm1D(), cur)
+    cur = _stages(b, inp[0], h, ("pool", partial(Pool1D, h["pool"])), ("bn", BatchNorm1D),
+                  activation="leaky_relu")
     cur = b.add("lstm1", LSTM(h["units"], return_sequences=True), cur)
     cur = b.add("bn_rnn", BatchNorm1D(), cur)
     return b.add("lstm2", LSTM(h["units"]), cur)
@@ -317,37 +301,21 @@ def _yibo_gao(b, inp, h):
     return b.add("gap", Pool1D(op="global_avg"), cur)
 
 
-def _yildirim_encoder(b, x, h, enc=None):
-    enc = enc or _yildirim_encoder_layers(h)
-    cur = b.add("enc_conv1", enc["conv1"], x)
-    cur = b.add("enc_pool1", enc["pool1"], cur)
-    cur = b.add("enc_conv2", enc["conv2"], cur)
-    cur = b.add("enc_pool2", enc["pool2"], cur)
-    return cur
-
-
-def _yildirim_encoder_layers(h):
-    f1, f2 = _filters(h, 2)
-    return {
-        "conv1": Conv1D(f1, h["kernel"], padding="same", activation="relu"),
-        "pool1": Pool1D(h["pool"]),
-        "conv2": Conv1D(f2, h["kernel"], padding="same", activation="relu"),
-        "pool2": Pool1D(h["pool"]),
-    }
-
-
 def _yildirim_ozal(b, inp, h):
-    cur = _yildirim_encoder(b, inp[0], h)
+    """The ``enc_*`` conv/pool encoder that :func:`build_autoencoder_pair`
+    shares with its autoencoder, into an LSTM."""
+    f1, f2 = _filters(h, 2)
+    cur = b.add("enc_conv1", Conv1D(f1, h["kernel"], padding="same", activation="relu"),
+                inp[0])
+    cur = b.add("enc_pool1", Pool1D(h["pool"]), cur)
+    cur = b.add("enc_conv2", Conv1D(f2, h["kernel"], padding="same", activation="relu"), cur)
+    cur = b.add("enc_pool2", Pool1D(h["pool"]), cur)
     return b.add("lstm", LSTM(h["units"]), cur)
 
 
 def _zhang_jin(b, inp, h):
-    cur = inp[0]
-    for i, f in enumerate(h["filters"]):
-        cur = b.add(f"conv{i + 1}", Conv1D(f, h["kernel"], activation="relu"), cur)
-        cur = b.add(f"pool{i + 1}", Pool1D(h["pool"]), cur)
-        cur = b.add(f"att{i + 1}",
-                    SpatialTemporalAttention(h["se_ratio"], h["att_kernel"]), cur)
+    cur = _stages(b, inp[0], h, ("pool", partial(Pool1D, h["pool"])),
+                  ("att", partial(SpatialTemporalAttention, h["se_ratio"], h["att_kernel"])))
     return b.add("bigru", Bidirectional(GRU(h["units"])), cur)
 
 
@@ -479,7 +447,7 @@ _register(
     _contract(conv1d=2, pool1d=1, lstm=1),
     _fams(cnn=True, lstm=True),
     {"filters": [16, 32], "kernel": 3, "pool": 2, "units": 64},
-    _kim_tae_young,
+    _pooled_between,
 )
 _register(
     "KongZhengmin",
@@ -504,7 +472,7 @@ _register(
     _contract(conv1d=3, pool1d=2, lstm=1),
     _fams(cnn=True, lstm=True),
     {"filters": [16, 32, 64], "kernel": 3, "pool": 2, "units": 64},
-    _oh_shu_lih,
+    partial(_pooled_between, padding="full"),
 )
 _register(
     "ShiHaotian",
@@ -631,6 +599,12 @@ def _merge_hyper(desc: ArchitectureDescriptor, overrides: dict) -> dict:
                 f"{desc.name} hyperparameter {key!r} takes a value like its default "
                 f"{h[key]!r}, got {val!r}"
             )
+        default = h[key][0] if isinstance(h[key], list) else h[key]
+        values = val if isinstance(val, (list, tuple)) else [val]
+        if type(default) is int and min(values, default=0) < 0:  # counts and sizes
+            raise ParameterError(
+                f"{desc.name} hyperparameter {key!r} must be >= 0, got {val!r}"
+            )
         h[key] = val
     return h
 
@@ -749,39 +723,31 @@ def build_autoencoder_pair(input_shape=(1000, 1), top: Optional[TopModule] = Non
     moves the classifier's encoder weights because the layer instances are
     shared.
     """
-    desc = get_descriptor("YildirimOzal")
-    h = _merge_hyper(desc, hyper)
-    t, ch = (int(s) for s in input_shape)
+    h = _merge_hyper(get_descriptor("YildirimOzal"), hyper)
+    t = int(input_shape[0])
     down = h["pool"] * h["pool"]
-    if t % down != 0:
+    if down and t % down:  # a zero pool is left for Pool1D to reject
         raise ShapeError(
             f"autoencoder mirror needs time divisible by {down}, got {t}"
         )
-    enc = _yildirim_encoder_layers(h)
+    classifier = build_model("YildirimOzal", input_shape, top=top, seed=seed, **hyper)
+    shape = classifier.input_shapes["x"]
 
+    # The encoder nodes lead both graphs, so the classifier build drew their
+    # weights from the same seed children an autoencoder build would use.
     ab = GraphBuilder()
-    x = ab.input("x", (t, ch))
-    cur = _yildirim_encoder(ab, x, h, enc)
+    cur = ab.input("x", shape)
+    for name in ("enc_conv1", "enc_pool1", "enc_conv2", "enc_pool2"):
+        cur = ab.add(name, classifier.nodes[name].layer, cur)
     cur = ab.add("dec_conv1", Conv1D(h["filters"][1], h["kernel"], padding="same",
                                      activation="relu"), cur)
     cur = ab.add("dec_up1", Upsample1D(h["pool"]), cur)
     cur = ab.add("dec_conv2", Conv1D(h["filters"][0], h["kernel"], padding="same",
                                      activation="relu"), cur)
     cur = ab.add("dec_up2", Upsample1D(h["pool"]), cur)
-    cur = ab.add("dec_out", Conv1D(ch, h["kernel"], padding="same"), cur)
+    cur = ab.add("dec_out", Conv1D(shape[1], h["kernel"], padding="same"), cur)
     autoencoder = ab.build(output=cur, seed=seed)
     autoencoder.architecture = "YildirimOzal/autoencoder"
-
-    cb = GraphBuilder()
-    x = cb.input("x", (t, ch))
-    cur = _yildirim_encoder(cb, x, h, enc)
-    cur = cb.add("lstm", LSTM(h["units"]), cur)
-    if top is not None:
-        for suffix, layer in top.instantiate():
-            cur = cb.add(f"top_{suffix}", layer, cur)
-    classifier = cb.build(output=cur, seed=seed)
-    classifier.architecture = "YildirimOzal"
-    classifier.hyper = h
 
     frozen = tuple(
         f"{node}/{p}" for node in ("enc_conv1", "enc_conv2") for p in ("w", "b")

@@ -66,11 +66,24 @@ def test_describe_rejects_mistyped_hyper(capsys):
 
 
 @pytest.mark.parametrize("name,filters", [("YaoQihang", "16+16"),
-                                          ("KimTaeYoung", "16+32+64")])
+                                          ("YildirimOzal", "16+32+64")])
 def test_describe_rejects_filters_of_the_wrong_length(capsys, name, filters):
     code, _, err = run_cli(["describe", name, "--hyper", f"filters={filters}"], capsys)
     assert code == 2
     assert err.startswith("error: filters must list ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,hyper", [
+    ("CaiWenjuan", "blocks=-1"),
+    ("CaiWenjuan", "block_depth=-1"),
+    ("YaoQihang", "block_convs=-1+2+3+3+3"),
+    ("LihOhShu", "first_kernel=0"),  # a kernel is at least 1 wide
+])
+def test_describe_rejects_negative_counts_and_zero_kernels(capsys, name, hyper):
+    code, _, err = run_cli(["describe", name, "--hyper", hyper], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
     assert "Traceback" not in err
 
 

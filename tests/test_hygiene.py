@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used in it, and
-no raw-stride view can be written through.
+"""Source hygiene: every name a library module imports is used in it, every
+module-level private function or class is referenced, and no raw-stride view
+can be written through.
 
 Package ``__init__`` modules are skipped by the import check, since they
 import to re-export.
@@ -36,6 +37,30 @@ def test_library_modules_use_every_import():
     assert modules
     unused = [entry for p in modules for entry in unused_imports(p)]
     assert unused == []
+
+
+def private_definitions(path: Path) -> list[tuple[str, str]]:
+    """``(name, file:line)`` for each module-level ``_name`` function or class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(node.name, f"{path.relative_to(SRC)}:{node.lineno}") for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def references(path: Path) -> set[str]:
+    """Names the module reads, bare or as an attribute (``zoo._same_kind``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_private_definitions_are_referenced():
+    # catches a builder left behind unregistered, or a helper whose last caller went
+    modules = sorted(SRC.rglob("*.py"))
+    defined = [d for p in modules for d in private_definitions(p)]
+    assert defined
+    used = set().union(*(references(p) for p in modules))
+    assert [f"{where} {name}" for name, where in defined if name not in used] == []
 
 
 def writable_strided_views(path: Path) -> list[str]:

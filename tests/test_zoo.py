@@ -95,8 +95,46 @@ MANIFEST_SHA256 = {
 }
 
 
+# SHA-256 of each entry's ordered ``name kind inputs`` node lines at (256, 1):
+# the wiring (node order, layer kinds, edges) that the manifest does not see.
+NODES_SHA256 = {
+    "CaiWenjuan": "90512de86d630f86b069162673ec895617dcce3681ee0be106117da3ab073548",
+    "ChenChen": "8ee7b0af09b26b43108448b33c1f7393abb3fb767236304223662049ff1301eb",
+    "FuJiangmeng": "59b3daf721780e39e4529c859d1d408ad16dd6648893e29f337b18068c6c87cd",
+    "GaoJunli": "c25d1e5d402e375c7ba46bec392b14e4bd9f8570863d06c93c318b2bd80d6302",
+    "GenMinxing": "3cb8da016ab098e0efea0ab972a0304c0e1663bb85e0c9902d69f52ec71a735a",
+    "HongTan": "fa6d2a3a038c30fc08871075c9de8db9b713156e1252d75c081031cf4297575d",
+    "HtetMyetLynn": "c3c9ccb9877f69fe33f76518e8de6aed7442962fd6b473d79ccaa12b06875f76",
+    "HuangMeiLing": "d4e08ed2e80686b8f5ec6bf9e8746e811c0bd2c5fe622013267668434c484bea",
+    "KhanZulfiqar": "cba76f6169e5305f75fa47115adc71bd2f4535c15d8af4091a9d5589dd561076",
+    "KimTaeYoung": "90b0c3a93839cea2a597032e6f79eaa4aed482e3755b01a222678b9173b5c7f9",
+    "KongZhengmin": "cc971c6234110722b3895004dfb6df3b5d90897bfc27a3d063212d90cab1cb52",
+    "LihOhShu": "6a440bc772ec1bcc22595fd0d00a0263179508034271232f504e1e96c8220b91",
+    "OhShuLih": "a02c95196cc713ccced0ca6c02edec56cdf4e9bb6f82c9b8a849a68e6268f9a6",
+    "ShiHaotian": "9e181f58ff45681c907bcf2f0495763287e055ed83068d48a2e446368949875e",
+    "WangKejun": "6bc868f8454ffd3266995ea4193034e1553d75d7770335ca07f2d883abc121b1",
+    "WeiXiaoyan": "60b0165ddf9ca1e42669abd3dab9a31ffb04d071c3f179ec903a7a59fc8867f9",
+    "YaoQihang": "d8a6509af72ebd9d3af54163f6361bd16dd3423d218fbceca16c66614428fe8c",
+    "YiboGao": "6946ba001d683cb846848390b278cb4759137da12835325befcdd6f39dd975d0",
+    "YildirimOzal": "b06bffc8a16b426a0093f76ee6dc5aa64f29d9f65972cc855349489149ffead6",
+    "ZhangJin": "9788f3d930286cd77969933ed84e73b0758d1b77367ea989db86e9564df4e237",
+    "ZhengZhenyu": "edcb3771e2f9be0ff97a9100103a2e1ec3a29ffc5b47514b836f9f813ce4d537",
+    "ExampleModel": "96750a772d116889d24aa40652f32abf8337b6f5a51909ffb9eafe80b9dd8618",
+    "YaoQihang attention=True":
+        "c9fa0dc2558835374a5b193dde7fb1b25519be17bc59b7dec51b0af451f1cbe2",
+    # build_autoencoder_pair((256, 1)); its classifier is the YildirimOzal entry
+    "autoencoder": "6c0d6ec3e29a75ffc764e568fd8f6302a49f58413e1e5008bb584bd915a42a9b",
+}
+
+
 def _manifest_sha256(model) -> str:
     text = "\n".join(f"{k} {v.shape}" for k, v in model.state().items())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _nodes_sha256(model) -> str:
+    text = "\n".join(f"{name} {spec.layer.kind} {','.join(spec.inputs)}"
+                     for name, spec in model.nodes.items())
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -122,6 +160,16 @@ def test_attention_head_manifest_pinned():
     model = build_model("YaoQihang", (256, 1), attention=True)
     assert model.kind_counts()["tanh_attention"] == 1
     assert _manifest_sha256(model) == MANIFEST_SHA256["YaoQihang attention=True"]
+
+
+@pytest.mark.parametrize("name", zoo.names())
+def test_node_list_pinned(name):
+    assert _nodes_sha256(build_model(name, (256, 1))) == NODES_SHA256[name]
+
+
+def test_attention_head_node_list_pinned():
+    model = build_model("YaoQihang", (256, 1), attention=True)
+    assert _nodes_sha256(model) == NODES_SHA256["YaoQihang attention=True"]
 
 
 @pytest.mark.parametrize("name", zoo.names())
@@ -193,13 +241,11 @@ def test_hyper_override_types_follow_defaults():
 @pytest.mark.parametrize("build,n", [
     (lambda: build_model("YaoQihang", (256, 1), filters=[16, 16]), 5),
     (lambda: build_model("YaoQihang", (256, 1), filters=[8] * 6), 5),
-    (lambda: build_model("KimTaeYoung", (64, 1), filters=[16]), 2),
-    (lambda: build_model("KimTaeYoung", (64, 1), filters=[16, 32, 64]), 2),
     (lambda: build_model("YildirimOzal", (64, 1), filters=[16]), 2),
     (lambda: build_autoencoder_pair((64, 1), filters=[16, 32, 64]), 2),
     (lambda: build_model("ShiHaotian", (64, 1), filters=[]), 1),
     (lambda: build_model("ShiHaotian", (64, 1), filters=[16, 32]), 1),
-], ids=["yao_short", "yao_long", "kim_short", "kim_long", "yildirim_short",
+], ids=["yao_short", "yao_long", "yildirim_short",
         "autoencoder_long", "shi_empty", "shi_long"])
 def test_positional_filters_need_their_length(build, n):
     # These builders read filters by position, so any other length is an error.
@@ -207,11 +253,26 @@ def test_positional_filters_need_their_length(build, n):
         build()
 
 
+def test_pooled_between_takes_any_filter_count():
+    model = build_model("KimTaeYoung", (64, 1), filters=[8, 8, 8])
+    assert model.order == ["conv1", "pool1", "conv2", "pool2", "conv3", "lstm"]
+
+
+def test_counts_may_be_zero_but_not_negative():
+    assert family_counts(build_model("CaiWenjuan", (64, 1), blocks=0))["se_block"] == 0
+    with pytest.raises(ParameterError, match="'pool' must be >= 0"):
+        build_autoencoder_pair((64, 1), pool=-2)
+    with pytest.raises(ParameterError, match="pool window"):  # not a division by zero
+        build_autoencoder_pair((64, 1), pool=0)
+
+
 def test_bad_input_shape():
     with pytest.raises(ShapeError, match=r"\[time, channels\]"):
         build_model("ExampleModel", (64,))
     with pytest.raises(ShapeError):
         build_model("ExampleModel", (0, 1))
+    with pytest.raises(ShapeError, match=r"\[time, channels\]"):
+        build_autoencoder_pair((64,))
 
 
 @pytest.mark.parametrize("name", zoo.names())
@@ -337,6 +398,12 @@ def test_autoencoder_pair_shares_encoder():
         assert pair.autoencoder.nodes[node].layer is pair.classifier.nodes[node].layer
     assert pair.autoencoder.output_shape == (64, 1)
     assert pair.classifier.output_shape == (3,)
+
+
+def test_autoencoder_pair_node_lists_pinned():
+    pair = build_autoencoder_pair((256, 1))
+    assert _nodes_sha256(pair.autoencoder) == NODES_SHA256["autoencoder"]
+    assert _nodes_sha256(pair.classifier) == NODES_SHA256["YildirimOzal"]
 
 
 def test_autoencoder_training_moves_classifier_encoder():

@@ -251,7 +251,7 @@ def _classify_sets(cfg: dict):
     normalized = np.stack([
         np.asarray(data.zscore(seg).array) for seg in np.asarray(ds.inputs.array)
     ])
-    ds = data.SeriesDataset(normalized, ds.targets, ds.note)
+    ds = data.SeriesDataset(normalized, ds.targets)
     sets = data.split_pairs(ds, (0.7, 0.2, 0.1), seed=cfg["seed"])
     shape = tuple(np.asarray(ds.inputs.array).shape[1:])
     top = zoo.make_top("classify", classes=classes)

@@ -1,4 +1,4 @@
-"""Binary tensor-record container used by the weights file and dataset cache.
+"""Binary tensor-record container used by the weights file.
 
 Layout (all little-endian):
 
@@ -42,12 +42,10 @@ def write_records(magic: bytes, entries: dict[str, np.ndarray],
         sink.write(payload)
 
 
-def read_records(magic: bytes, source: Union[str, io.IOBase, bytes]) -> dict[str, np.ndarray]:
+def read_records(magic: bytes, source: Union[str, io.IOBase]) -> dict[str, np.ndarray]:
     if isinstance(source, str):
         with open(source, "rb") as fh:
             raw = fh.read()
-    elif isinstance(source, bytes):
-        raw = source
     else:
         raw = source.read()
     if len(raw) < len(magic) + 8:

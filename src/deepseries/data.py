@@ -1,4 +1,4 @@
-"""Series preprocessing, window datasets, synthetic generators, and CSV I/O.
+"""Series preprocessing, window datasets, synthetic generators, and CSV input.
 
 Raw series are ``[steps, columns]`` tensors.  Window datasets pair an input
 block ``[window, columns]`` with the following target block ``[horizon,
@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .container import read_records, write_records
 from .errors import (
     DataError,
     DegenerateSegmentError,
@@ -26,16 +25,13 @@ from .graph import Model
 from .tensor import Tensor, as_array
 from .train import auc as _auc, predict
 
-DATASET_MAGIC = b"TSDLD1\x00"
-
 
 @dataclass
 class SeriesDataset:
-    """Aligned input/target tensors with a free-text note."""
+    """Aligned input/target tensors."""
 
     inputs: Tensor
     targets: Tensor
-    note: str = ""
 
     def __post_init__(self):
         self.inputs = Tensor(as_array(self.inputs))
@@ -52,7 +48,7 @@ class SeriesDataset:
 
     def take(self, index) -> "SeriesDataset":
         idx = np.asarray(index)
-        return SeriesDataset(self.inputs.array[idx], self.targets.array[idx], self.note)
+        return SeriesDataset(self.inputs.array[idx], self.targets.array[idx])
 
 
 def _series(x) -> np.ndarray:
@@ -141,7 +137,7 @@ def windowize(series, window: int, horizon: int, stride: int = 1) -> SeriesDatas
     starts = np.arange(0, n - window - horizon + 1, stride)
     inputs = np.stack([a[s : s + window] for s in starts])
     targets = np.stack([a[s + window : s + window + horizon] for s in starts])
-    return SeriesDataset(inputs, targets, note=f"w{window}h{horizon}")
+    return SeriesDataset(inputs, targets)
 
 
 def pad_or_truncate(segment, length: int) -> Tensor:
@@ -219,23 +215,22 @@ def anomaly_harness(model: Model, windows: SeriesDataset, true_labels, top_k: in
 
 
 def sine_mix(freqs: Sequence[float], noise: float, length: int, seed: int = 0,
-             offset: float = 0.0, amplitudes: Optional[Sequence[float]] = None) -> Tensor:
-    """Sum of sines (``freqs`` in cycles per step) plus seeded gaussian noise."""
+             offset: float = 0.0) -> Tensor:
+    """Sum of unit sines (``freqs`` in cycles per step) plus seeded gaussian noise."""
     if length < 1:
         raise ParameterError("length must be >= 1")
     if not freqs:
         raise ParameterError("sine_mix needs at least one frequency")
-    amps = list(amplitudes) if amplitudes is not None else [1.0] * len(freqs)
-    if len(amps) != len(freqs):
-        raise ParameterError("amplitudes must match freqs in length")
+    if not np.isfinite(freqs).all():
+        raise ParameterError(f"freqs must be finite, got {list(freqs)}")
     if not 0.0 <= noise < np.inf:
         raise ParameterError(f"noise must be finite and >= 0, got {noise}")
     if not np.isfinite(offset):
         raise ParameterError(f"offset must be finite, got {offset}")
     t = np.arange(length)
     x = np.full(length, float(offset))
-    for f, a in zip(freqs, amps):
-        x += a * np.sin(2.0 * np.pi * f * t)
+    for f in freqs:
+        x += np.sin(2.0 * np.pi * f * t)
     if noise > 0.0:
         x += np.random.default_rng(seed).normal(0.0, noise, size=length)
     return Tensor(x[:, None])
@@ -262,7 +257,7 @@ def labeled_segments(classes: int, length: int, count: int, seed: int = 0,
         xs[c * count : (c + 1) * count, :, 0] = block
         ys[c * count : (c + 1) * count, c] = 1.0
     order = rng.permutation(classes * count)
-    return SeriesDataset(xs[order], ys[order], note="segments")
+    return SeriesDataset(xs[order], ys[order])
 
 
 def traffic_with_anomalies(features: int, length: int, rate: float, seed: int = 0):
@@ -298,18 +293,20 @@ def traffic_with_anomalies(features: int, length: int, rate: float, seed: int = 
     return Tensor(base), Tensor(labels.astype(float))
 
 
-# -- CSV and dataset cache ----------------------------------------------------------
+# -- CSV input ---------------------------------------------------------------------
 
 
-def load_csv(path: Union[str, io.IOBase], has_header: bool = True,
-             columns: Optional[Sequence[Union[str, int]]] = None) -> Tensor:
+def load_csv(path: Union[str, io.IOBase],
+             columns: Optional[Sequence[str]] = None) -> Tensor:
     """Read numeric columns from a CSV file into a ``[steps, columns]`` tensor.
 
-    A file path is read as UTF-8, dropping a leading byte-order mark.  Text
-    that does not decode, or a selected cell that is not a finite number
-    (``nan`` and ``inf`` included), raises :class:`FormatError`; a bad
-    cell's message names its file line.  Every row, the header included,
-    must have the same number of fields.
+    The first non-blank row is a header; ``columns`` picks columns by header
+    name (default: all, in file order).  A file path is read as UTF-8,
+    dropping a leading byte-order mark.  Text that does not decode, or a
+    selected cell that is not a finite number (``nan`` and ``inf``
+    included), raises :class:`FormatError`; a bad cell's message names its
+    file line.  Every row, the header included, must have the same number
+    of fields.
     """
     fh = open(path, "r", newline="", encoding="utf-8-sig") if isinstance(path, str) else path
     try:
@@ -322,59 +319,32 @@ def load_csv(path: Union[str, io.IOBase], has_header: bool = True,
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise DataError("CSV has no data rows")
-    header: Optional[list[str]] = None
-    if has_header:
-        header = [h.strip() for h in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise DataError("CSV has a header but no data rows")
+    header = [h.strip() for h in rows[0]]
+    rows = rows[1:]
+    if not rows:
+        raise DataError("CSV has a header but no data rows")
     width = len(rows[0])
-    if header is not None and len(header) != width:
+    if len(header) != width:
         raise FormatError(f"header has {len(header)} fields but line 2 has {width}")
     if columns is None:
         idx = list(range(width))
     else:
         idx = []
         for c in columns:
-            if isinstance(c, int):
-                if not (0 <= c < width):
-                    raise FormatError(f"column index {c} out of range (width {width})")
-                idx.append(c)
-            else:
-                if header is None:
-                    raise FormatError(f"named column {c!r} needs a header row")
-                if c not in header:
-                    raise FormatError(f"column {c!r} not in header {header}")
-                idx.append(header.index(c))
+            if c not in header:
+                raise FormatError(f"column {c!r} not in header {header}")
+            idx.append(header.index(c))
     data = np.empty((len(rows), len(idx)))
-    offset = 2 if has_header else 1
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise FormatError(
-                f"line {i + offset}: expected {width} fields, got {len(row)}"
-            )
+            raise FormatError(f"line {i + 2}: expected {width} fields, got {len(row)}")
         for j, c in enumerate(idx):
             try:
                 data[i, j] = float(row[c])
             except ValueError:
-                raise FormatError(
-                    f"line {i + offset}: {row[c]!r} is not a number"
-                ) from None
+                raise FormatError(f"line {i + 2}: {row[c]!r} is not a number") from None
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         i, j = bad[0]
-        raise FormatError(f"line {i + offset}: {rows[i][idx[j]]!r} is not a finite number")
+        raise FormatError(f"line {i + 2}: {rows[i][idx[j]]!r} is not a finite number")
     return Tensor(data)
-
-
-def save_dataset(dataset: SeriesDataset, sink: Union[str, io.IOBase]):
-    """Cache a dataset in the tensor-record container (float32, CRC-checked)."""
-    entries = {"inputs": dataset.inputs.array, "targets": dataset.targets.array}
-    write_records(DATASET_MAGIC, entries, sink)
-
-
-def load_dataset(source: Union[str, io.IOBase]) -> SeriesDataset:
-    entries = read_records(DATASET_MAGIC, source)
-    if sorted(entries) != ["inputs", "targets"]:
-        raise FormatError(f"dataset cache needs inputs+targets, got {sorted(entries)}")
-    return SeriesDataset(entries["inputs"], entries["targets"], note="cache")

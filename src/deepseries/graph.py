@@ -141,7 +141,9 @@ class Model:
         """Read a weights file and copy values into this model in place.
 
         The file's entry list must match this model's parameter/buffer
-        manifest exactly (names, order, shapes).
+        manifest exactly (names, order, shapes), and every value must be
+        finite.  Every check runs before any value is copied, so a file that
+        fails one leaves the model unchanged.
         """
         entries = read_records(WEIGHTS_MAGIC, source)
         want = self.state()
@@ -163,6 +165,8 @@ class Model:
                     f"{entries[got_names[i]].shape}, model expects "
                     f"{want[want_names[i]].shape}"
                 )
+            if not np.isfinite(entries[got_names[i]]).all():
+                raise FormatError(f"entry {got_names[i]!r} holds a non-finite value")
         for name, arr in entries.items():
             want[name][...] = arr.astype(np.float64)
 

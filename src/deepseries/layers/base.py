@@ -129,14 +129,14 @@ class Layer:
     def _build(self, in_shapes: list[tuple[int, ...]], rng: np.random.Generator):
         pass
 
-    def bind(self, in_shapes, rng: Optional[np.random.Generator] = None) -> tuple[int, ...]:
-        """Materialise parameters for the given per-sample input shapes.
+    def bind(self, in_shapes: list[tuple[int, ...]], rng: np.random.Generator) -> tuple[int, ...]:
+        """Materialise parameters for the given list of per-sample input shapes.
 
         Returns the output shape.  Binding twice with the same shapes is a
         no-op, so layer instances can be shared between graphs without
         re-initialising their weights.
         """
-        shapes = [tuple(s) for s in (in_shapes if isinstance(in_shapes, list) else [in_shapes])]
+        shapes = [tuple(s) for s in in_shapes]
         out = self.out_shape(shapes)  # validate before touching state
         if self._in_shapes is not None:
             if shapes != self._in_shapes:
@@ -144,7 +144,7 @@ class Layer:
                     f"{self.kind} already bound to {self._in_shapes}, got {shapes}"
                 )
             return out
-        self._build(shapes, rng if rng is not None else np.random.default_rng(0))
+        self._build(shapes, rng)
         self._in_shapes = shapes
         return out
 

@@ -445,8 +445,8 @@ class Concat(Layer):
 
     def __init__(self, n_inputs: int):
         super().__init__()
-        if n_inputs < 1:
-            raise ParameterError("concat needs at least one input")
+        if n_inputs < 2:
+            raise ParameterError("concat needs at least two inputs")
         self.n_inputs = int(n_inputs)
 
     def out_shape(self, in_shapes):

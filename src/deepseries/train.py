@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -145,19 +145,15 @@ class TrainConfig:
     patience: int = 2
     min_delta: float = 0.0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
 
 @dataclass
 class History:
-    """Per-epoch train/val losses plus the stopping bookkeeping."""
+    """Per-epoch train/val losses and the epoch whose parameters were kept."""
 
     epochs: list[dict] = field(default_factory=list)
     best_epoch: int = -1
-    stopped_epoch: int = -1
 
     def lines(self) -> list[str]:
         return [
@@ -220,8 +216,7 @@ def fit(model: Model, train_set, val_set, config: TrainConfig,
         raise DataError(f"fit needs non-empty sets, got {xs.shape[0]} training "
                         f"and {vx.shape[0]} validation rows")
     rng = np.random.default_rng(config.seed)
-    opt = Adam(model.parameters(), config.lr, config.beta1, config.beta2,
-               config.epsilon, frozen=frozen)
+    opt = Adam(model.parameters(), config.lr, frozen=frozen)
     stopper = EarlyStopping(config.patience, config.min_delta)
     history = History()
     best_state: Optional[dict[str, np.ndarray]] = None
@@ -255,7 +250,6 @@ def fit(model: Model, train_set, val_set, config: TrainConfig,
         if stop:
             break
     history.best_epoch = stopper.best_epoch
-    history.stopped_epoch = stopper.epoch
     if best_state is not None:
         live = model.state()
         for name, arr in best_state.items():
@@ -263,21 +257,19 @@ def fit(model: Model, train_set, val_set, config: TrainConfig,
     return history
 
 
-def two_phase_autoencoder_fit(pair, train_set, val_set, config: TrainConfig,
-                              phase1_config: Optional[TrainConfig] = None):
+def two_phase_autoencoder_fit(pair, train_set, val_set, config: TrainConfig):
     """Reconstruction pretraining, then classification with a frozen encoder.
 
     ``pair`` carries ``autoencoder``, ``classifier`` (sharing encoder layer
     instances) and ``encoder_params`` (qualified names to freeze in phase 2).
-    Returns ``(classifier, {"phase1": History, "phase2": History})``.
+    Phase 1 runs ``config`` with an ``mse`` loss.  Returns ``(classifier,
+    {"phase1": History, "phase2": History})``.
     """
     from .data import SeriesDataset  # local import to avoid a cycle
 
-    p1 = phase1_config or config
     ae_train = SeriesDataset(train_set.inputs, train_set.inputs)
     ae_val = SeriesDataset(val_set.inputs, val_set.inputs)
-    p1 = TrainConfig(**{**p1.__dict__, "loss": "mse"})
-    h1 = fit(pair.autoencoder, ae_train, ae_val, p1)
+    h1 = fit(pair.autoencoder, ae_train, ae_val, replace(config, loss="mse"))
     h2 = fit(pair.classifier, train_set, val_set, config,
              frozen=pair.encoder_params)
     return pair.classifier, {"phase1": h1, "phase2": h2}

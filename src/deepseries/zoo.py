@@ -11,7 +11,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import ParameterError, RegistryError, ShapeError
 from .graph import GraphBuilder, Model
@@ -38,29 +38,17 @@ from .layers import (
 FAMILY_KEYS = ("conv1d", "lstm", "gru", "bilstm", "bigru", "pool1d",
                "batchnorm", "dropout", "se_block", "rta_block", "attention")
 
-# node kinds folded into each family count
-_FAMILY_KINDS = {
-    "conv1d": ("conv1d",),
-    "lstm": ("lstm",),
-    "gru": ("gru",),
-    "bilstm": ("bilstm",),
-    "bigru": ("bigru",),
-    "pool1d": ("pool1d",),
-    "batchnorm": ("batchnorm",),
-    "dropout": ("dropout",),
-    "se_block": ("se_block",),
-    "rta_block": ("rta_block",),
-    "attention": ("st_attention", "tanh_attention"),
-}
-
 
 def family_counts(model: Model) -> dict[str, int]:
-    """Collapse a model's node kinds into the family-count vocabulary."""
+    """Collapse a model's node kinds into the family-count vocabulary.
+
+    Each family counts the nodes of its own kind, except ``attention``,
+    which counts both attention kinds.
+    """
     kinds = model.kind_counts()
-    return {
-        fam: sum(kinds.get(k, 0) for k in alias)
-        for fam, alias in _FAMILY_KINDS.items()
-    }
+    counts = {fam: kinds.get(fam, 0) for fam in FAMILY_KEYS}
+    counts["attention"] = kinds.get("st_attention", 0) + kinds.get("tanh_attention", 0)
+    return counts
 
 
 def family_presence(model: Model) -> dict[str, bool]:
@@ -101,16 +89,14 @@ class ArchitectureDescriptor:
 class TopModule:
     """A task head: an ordered list of layer factories appended to a graph."""
 
-    kind: str
-    spec: tuple = ()
+    spec: tuple
 
     def instantiate(self):
         return [(suffix, factory()) for suffix, factory in self.spec]
 
 
 def make_top(kind: str, *, horizon: int = 0, features: int = 0, classes: int = 0,
-             steps: int = 0, dropout: float = 0.2,
-             layers: Optional[Sequence] = None) -> TopModule:
+             steps: int = 0, dropout: float = 0.2) -> TopModule:
     """Describe a task head.
 
     * ``forecast``: flatten, dense(horizon*features, relu), reshape.
@@ -118,12 +104,11 @@ def make_top(kind: str, *, horizon: int = 0, features: int = 0, classes: int = 0
       dense(classes, softmax).
     * ``anomaly``: flatten, dense(32), dense(64), dense(features),
       dense(steps*features, linear), reshape to [steps, features].
-    * ``custom``: caller-supplied ``(suffix, factory)`` pairs.
     """
     if kind == "forecast":
         if horizon < 1 or features < 1:
             raise ParameterError("forecast head needs horizon >= 1 and features >= 1")
-        return TopModule(kind, (
+        return TopModule((
             ("flatten", Flatten),
             ("dense", lambda: Dense(horizon * features, activation="relu")),
             ("reshape", lambda: Reshape((horizon, features))),
@@ -132,7 +117,7 @@ def make_top(kind: str, *, horizon: int = 0, features: int = 0, classes: int = 0
         if classes < 2:
             raise ParameterError("classify head needs classes >= 2")
         rate = float(dropout)
-        return TopModule(kind, (
+        return TopModule((
             ("flatten", Flatten),
             ("dropout", lambda: Dropout(rate)),
             ("dense1", lambda: Dense(20, activation="relu")),
@@ -142,7 +127,7 @@ def make_top(kind: str, *, horizon: int = 0, features: int = 0, classes: int = 0
     if kind == "anomaly":
         if steps < 1 or features < 1:
             raise ParameterError("anomaly head needs steps >= 1 and features >= 1")
-        return TopModule(kind, (
+        return TopModule((
             ("flatten", Flatten),
             ("dense1", lambda: Dense(32, activation="relu")),
             ("dense2", lambda: Dense(64, activation="relu")),
@@ -150,10 +135,6 @@ def make_top(kind: str, *, horizon: int = 0, features: int = 0, classes: int = 0
             ("dense4", lambda: Dense(steps * features)),
             ("reshape", lambda: Reshape((steps, features))),
         ))
-    if kind == "custom":
-        if not layers:
-            raise ParameterError("custom head needs (suffix, factory) pairs")
-        return TopModule(kind, tuple(layers))
     raise ParameterError(f"unknown head kind {kind!r}")
 
 
@@ -631,7 +612,6 @@ def _assemble(name: str, input_shape, hyper: dict, top: Optional[TopModule],
         for suffix, layer in top.instantiate():
             out = b.add(f"top_{suffix}", layer, out)
     model = b.build(output=out, seed=seed)
-    model.architecture = name
     model.hyper = h
     return model
 
@@ -747,7 +727,6 @@ def build_autoencoder_pair(input_shape=(1000, 1), top: Optional[TopModule] = Non
     cur = ab.add("dec_up2", Upsample1D(h["pool"]), cur)
     cur = ab.add("dec_out", Conv1D(shape[1], h["kernel"], padding="same"), cur)
     autoencoder = ab.build(output=cur, seed=seed)
-    autoencoder.architecture = "YildirimOzal/autoencoder"
 
     frozen = tuple(
         f"{node}/{p}" for node in ("enc_conv1", "enc_conv2") for p in ("w", "b")

@@ -348,6 +348,29 @@ def test_eval_rejects_corrupt_and_missing_weights(tmp_path, capsys):
     assert code == 5
 
 
+def test_eval_rejects_non_finite_weights(tmp_path, capsys):
+    # one NaN in the LSTM once loaded, and eval printed "metric mae value nan"
+    # and exited 0
+    from deepseries.container import read_records, write_records
+    from deepseries.graph import WEIGHTS_MAGIC
+
+    out_dir = tmp_path / "run"
+    run_cli(FAST_FORECAST + ["--out", str(out_dir)], capsys)
+    weights = str(out_dir / "weights.dsw")
+    state = {k: v.copy() for k, v in read_records(WEIGHTS_MAGIC, weights).items()}
+    state["lstm/wh"][0, 0] = np.nan
+    write_records(WEIGHTS_MAGIC, state, weights)
+    code, out, err = run_cli(
+        ["eval", "--task", "forecast", "--model", "ExampleModel",
+         "--synth", "sine:length=600", "--window", "40", "--horizon", "5",
+         "--weights", weights],
+        capsys,
+    )
+    assert code == 5
+    assert out == ""
+    assert "'lstm/wh' holds a non-finite value" in err
+
+
 # ----------------------------------------------------------------- exit codes
 
 

@@ -1,4 +1,4 @@
-"""Preprocessing, windowing, synthetic generators, CSV, and the dataset cache."""
+"""Preprocessing, windowing, synthetic generators, and CSV input."""
 
 import io
 
@@ -12,9 +12,7 @@ from deepseries.data import (
     chrono_split,
     labeled_segments,
     load_csv,
-    load_dataset,
     pad_or_truncate,
-    save_dataset,
     sine_mix,
     smooth,
     split_pairs,
@@ -124,7 +122,6 @@ def test_split_validation(split, make):
 def test_windowize_hand_case():
     ds = windowize(np.arange(10.0), window=3, horizon=2)
     assert ds.n == 6
-    assert ds.note == "w3h2"
     xs = np.asarray(ds.inputs.array)
     ys = np.asarray(ds.targets.array)
     assert xs.shape == (6, 3, 1) and ys.shape == (6, 2, 1)
@@ -254,11 +251,8 @@ def test_anomaly_harness_validation():
 
 def test_sine_mix_exact_formula():
     t = np.arange(50)
-    want = 2.0 + np.sin(2 * np.pi * 0.05 * t) + 0.5 * np.sin(2 * np.pi * 0.11 * t)
-    got = np.asarray(
-        sine_mix([0.05, 0.11], noise=0.0, length=50, offset=2.0,
-                 amplitudes=[1.0, 0.5]).array
-    )
+    want = 2.0 + np.sin(2 * np.pi * 0.05 * t) + np.sin(2 * np.pi * 0.11 * t)
+    got = np.asarray(sine_mix([0.05, 0.11], noise=0.0, length=50, offset=2.0).array)
     assert got.shape == (50, 1)
     np.testing.assert_allclose(got[:, 0], want, atol=1e-12)
 
@@ -276,8 +270,10 @@ def test_sine_mix_validation():
         sine_mix([], 0.0, 10)
     with pytest.raises(ParameterError):
         sine_mix([0.1], 0.0, 0)
-    with pytest.raises(ParameterError):
-        sine_mix([0.1, 0.2], 0.0, 10, amplitudes=[1.0])
+    # a non-finite frequency once gave an all-NaN series
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterError, match="freqs must be finite"):
+            sine_mix([0.1, bad], 0.0, 5)
 
 
 def test_labeled_segments_layout():
@@ -366,15 +362,11 @@ def test_load_csv_all_columns():
 def test_load_csv_named_and_indexed_columns():
     got = np.asarray(load_csv(io.StringIO(CSV_TEXT), columns=["load"]).array)
     np.testing.assert_array_equal(got[:, 0], [1.5, 2.5, 3.5])
-    got = np.asarray(load_csv(io.StringIO(CSV_TEXT), columns=[2, 0]).array)
+    got = np.asarray(load_csv(io.StringIO(CSV_TEXT), columns=["temp", "time"]).array)
     np.testing.assert_array_equal(got[0], [20.0, 0.0])
-
-
-def test_load_csv_without_header():
-    got = np.asarray(load_csv(io.StringIO("1,2\n3,4\n"), has_header=False).array)
-    np.testing.assert_array_equal(got, [[1, 2], [3, 4]])
-    with pytest.raises(FormatError, match="needs a header row"):
-        load_csv(io.StringIO("1,2\n"), has_header=False, columns=["a"])
+    # columns are picked by header name only; an index is not a name
+    with pytest.raises(FormatError, match="column 2 not in header"):
+        load_csv(io.StringIO(CSV_TEXT), columns=[2])
 
 
 def test_load_csv_skips_blank_lines(tmp_path):
@@ -387,8 +379,6 @@ def test_load_csv_skips_blank_lines(tmp_path):
 def test_load_csv_error_reporting():
     with pytest.raises(FormatError, match="column 'volts' not in header"):
         load_csv(io.StringIO(CSV_TEXT), columns=["volts"])
-    with pytest.raises(FormatError, match="column index 9 out of range"):
-        load_csv(io.StringIO(CSV_TEXT), columns=[9])
     # bad number on the second data row = file line 3
     with pytest.raises(FormatError, match="line 3: 'oops' is not a number"):
         load_csv(io.StringIO("a,b\n1,2\n1,oops\n"))
@@ -415,8 +405,8 @@ def test_load_csv_rejects_non_finite_cells():
     with pytest.raises(FormatError, match="line 2: '-inf' is not a finite number"):
         load_csv(io.StringIO("a,b\n-inf,2\n1,inf\n"))
     # overflows to inf when parsed
-    with pytest.raises(FormatError, match="line 1: '1e400' is not a finite number"):
-        load_csv(io.StringIO("1e400\n"), has_header=False)
+    with pytest.raises(FormatError, match="line 2: '1e400' is not a finite number"):
+        load_csv(io.StringIO("a\n1e400\n"))
     # a non-finite cell in a column that is not selected is not read
     np.testing.assert_array_equal(
         load_csv(io.StringIO("a,b\n1,nan\n"), columns=["a"]).array, [[1.0]])
@@ -436,48 +426,3 @@ def test_load_csv_reads_files_as_utf8(tmp_path):
     bad.write_bytes(b"value\n1\n\xff\n2\n")
     with pytest.raises(FormatError, match=r"bad\.csv is not UTF-8 text"):
         load_csv(str(bad))
-
-
-# --------------------------------------------------------------- dataset cache
-
-
-def test_dataset_cache_roundtrip(tmp_path):
-    # float32-representable values survive the cache bit for bit
-    xs = np.arange(12.0).reshape(3, 2, 2) * 0.25
-    ys = np.arange(3.0)[:, None]
-    path = str(tmp_path / "cache.dsd")
-    save_dataset(SeriesDataset(xs, ys), path)
-    back = load_dataset(path)
-    np.testing.assert_array_equal(np.asarray(back.inputs.array), xs)
-    np.testing.assert_array_equal(np.asarray(back.targets.array), ys)
-    assert back.note == "cache"
-
-
-def test_dataset_cache_corruption_detected(tmp_path):
-    path = tmp_path / "cache.dsd"
-    save_dataset(SeriesDataset(np.zeros((2, 3, 1)), np.zeros((2, 1))), str(path))
-    blob = bytearray(path.read_bytes())
-    blob[len(blob) // 2] ^= 0x01
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="checksum"):
-        load_dataset(str(path))
-
-
-def test_dataset_cache_rejects_wrong_entries():
-    from deepseries.container import write_records
-    from deepseries.data import DATASET_MAGIC
-
-    buf = io.BytesIO()
-    write_records(DATASET_MAGIC, {"inputs": np.zeros((2, 1))}, buf)
-    with pytest.raises(FormatError, match="needs inputs\\+targets"):
-        load_dataset(io.BytesIO(buf.getvalue()))
-
-
-def test_dataset_cache_rejects_weights_magic(tmp_path):
-    from deepseries.zoo import build_model
-
-    m = build_model("ExampleModel", (64, 1))
-    path = str(tmp_path / "weights.dsw")
-    m.save_weights(path)
-    with pytest.raises(FormatError, match="bad magic"):
-        load_dataset(path)

@@ -482,6 +482,24 @@ def test_bad_magic_and_truncation_rejected():
         m.load_weights(io.BytesIO(blob[:5]))
 
 
+def test_load_rejects_non_finite_values_and_leaves_the_model_unchanged():
+    from deepseries.container import write_records
+    from deepseries.graph import WEIGHTS_MAGIC
+
+    source = bn_model(seed=1)
+    m = bn_model(seed=2)
+    before = {k: v.copy() for k, v in m.state().items()}
+    for bad in (np.nan, np.inf, -np.inf):
+        state = {k: v.copy() for k, v in source.state().items()}
+        state["norm/running_var"][1] = bad  # the last entry, after every other check
+        buf = io.BytesIO()
+        write_records(WEIGHTS_MAGIC, state, buf)
+        with pytest.raises(FormatError, match="'norm/running_var' holds a non-finite value"):
+            m.load_weights(io.BytesIO(buf.getvalue()))
+        for k, v in m.state().items():
+            np.testing.assert_array_equal(v, before[k])
+
+
 def test_weights_file_path_roundtrip(tmp_path):
     m = tiny_model(seed=3)
     path = str(tmp_path / "weights.dsw")

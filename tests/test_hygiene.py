@@ -1,6 +1,6 @@
 """Source hygiene: every name a library module imports is used in it, every
-module-level private function or class is referenced, and no raw-stride view
-can be written through.
+module-level private function or class is referenced, every attribute the
+library assigns is read, and no raw-stride view can be written through.
 
 Package ``__init__`` modules are skipped by the import check, since they
 import to re-export.
@@ -10,6 +10,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -61,6 +62,29 @@ def test_private_definitions_are_referenced():
     assert defined
     used = set().union(*(references(p) for p in modules))
     assert [f"{where} {name}" for name, where in defined if name not in used] == []
+
+
+def attribute_uses(path: Path) -> tuple[list[tuple[str, str]], set[str]]:
+    """``(attr, file:line)`` for each ``obj.attr = ...`` target, and the set of
+    attribute names the module reads (an augmented assignment reads too)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assigned = [(n.attr, f"{path.name}:{n.lineno}") for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)]
+    read = {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read |= {n.target.attr for n in ast.walk(tree)
+             if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Attribute)}
+    return assigned, read
+
+
+def test_assigned_attributes_are_read():
+    # an attribute the library sets and nothing reads is dead state that every
+    # caller still has to reason about
+    assigned = [a for p in sorted(SRC.rglob("*.py")) for a in attribute_uses(p)[0]]
+    assert assigned
+    read = set().union(*(attribute_uses(p)[1]
+                         for p in sorted(SRC.rglob("*.py")) + sorted(TESTS.glob("*.py"))))
+    assert [f"{where} {attr}" for attr, where in assigned if attr not in read] == []
 
 
 def writable_strided_views(path: Path) -> list[str]:

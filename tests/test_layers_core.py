@@ -460,6 +460,15 @@ def test_add_and_concat():
     np.testing.assert_allclose(np.asarray(out)[0, 0], [0, 0, 1, 1])
 
 
+@pytest.mark.parametrize("factory", [Add, Concat])
+def test_joins_need_two_inputs(factory):
+    # a one-input Concat once built, and the executor then handed it a bare
+    # array where it expects a list
+    for n in (0, 1):
+        with pytest.raises(ParameterError, match="at least two inputs"):
+            factory(n)
+
+
 def test_upsample_repeats_steps():
     m = single_node_model(Upsample1D(3), (2, 1))
     x = np.array([1.0, 2.0]).reshape(1, 2, 1)

@@ -10,7 +10,7 @@ Commands
 A run's configuration is resolved once, in layers: the task preset, the CSV
 preset when the data comes from a CSV file, the ``--config`` file, then the
 flags.  Each key must be one the task reads, and each value must be of the
-kind of its preset value, whose type it then takes.
+kind of its preset value, whose type it then takes (``zoo.typed_override``).
 
 Exit codes: 0 ok, 2 usage (a bad flag, config key or value), 3 training
 diverged, 4 data problem, 5 weights file problem.  Every train run writes
@@ -101,7 +101,10 @@ def _parse_value(text: str):
     except ValueError:
         pass
     if "+" in s:
-        return [_parse_value(p) for p in s.split("+")]
+        parts = s.split("+")
+        if not all(p.strip() for p in parts):
+            raise ParameterError(f"empty list element in {s!r}")
+        return [_parse_value(p) for p in parts]
     return s
 
 
@@ -142,16 +145,6 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _typed(what: str, key: str, default, val):
-    """``val`` in the type of ``default``; it must be of the same kind (ints pass as floats)."""
-    if not zoo._same_kind(default, val):
-        raise ParameterError(f"{what} {key!r} takes a value like {default!r}, got {val!r}")
-    try:
-        return type(default)(val)
-    except OverflowError:  # an integer too large for a float
-        raise ParameterError(f"{what} {key!r} is out of range, got {val}") from None
-
-
 def _resolve(args) -> dict:
     """The run configuration of ``train``/``eval`` as one dict, typed like the task preset.
 
@@ -169,15 +162,13 @@ def _resolve(args) -> dict:
             if key not in preset:
                 raise ParameterError(f"{key!r} is not a {args.task} setting; "
                                      f"allowed: {sorted([*preset, 'hyper'])}")
-            given[key] = _typed("setting", key, preset[key], val)
+            given[key] = zoo.typed_override("setting", key, preset[key], val)
     if given.get("csv") and "synth" in given:
         raise ParameterError("give either --csv or --synth, not both")
     cfg = {**preset, **(_CSV_PRESETS[args.task] if given.get("csv") else {}), **given,
            "task": args.task, "hyper": hyper}
     if not cfg["model"]:
         raise ParameterError("--model is required")
-    if cfg["seed"] < 0:
-        raise ParameterError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 
@@ -193,12 +184,8 @@ def _synth_options(cfg: dict) -> dict:
     unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ParameterError(f"unknown {family} options {unknown}")
-    opts = {}
-    for key, default in defaults.items():
-        opts[key] = val = _typed("synth option", key, default, given.get(key, default))
-        if isinstance(default, int) and val < 0:  # counts, lengths and seeds
-            raise ParameterError(f"synth option {key!r} must be >= 0, got {val}")
-    return opts
+    return {key: zoo.typed_override("synth option", key, default, given.get(key, default))
+            for key, default in defaults.items()}
 
 
 # -- dataset assembly per task ---------------------------------------------------

@@ -309,23 +309,25 @@ def load_csv(path: Union[str, io.IOBase],
     of fields.
     """
     fh = open(path, "r", newline="", encoding="utf-8-sig") if isinstance(path, str) else path
+    reader = csv.reader(fh)
     try:
-        rows = list(csv.reader(fh))
+        numbered = [(reader.line_num, r) for r in reader]  # a row's last file line
     except UnicodeDecodeError:
         raise FormatError(f"{getattr(fh, 'name', 'CSV input')} is not UTF-8 text") from None
     finally:
         if fh is not path:
             fh.close()
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows:
+    numbered = [(n, r) for n, r in numbered if any(cell.strip() for cell in r)]
+    if not numbered:
         raise DataError("CSV has no data rows")
-    header = [h.strip() for h in rows[0]]
-    rows = rows[1:]
+    header = [h.strip() for h in numbered[0][1]]
+    lines = [n for n, _ in numbered[1:]]
+    rows = [r for _, r in numbered[1:]]
     if not rows:
         raise DataError("CSV has a header but no data rows")
     width = len(rows[0])
     if len(header) != width:
-        raise FormatError(f"header has {len(header)} fields but line 2 has {width}")
+        raise FormatError(f"header has {len(header)} fields but line {lines[0]} has {width}")
     if columns is None:
         idx = list(range(width))
     else:
@@ -337,14 +339,14 @@ def load_csv(path: Union[str, io.IOBase],
     data = np.empty((len(rows), len(idx)))
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise FormatError(f"line {i + 2}: expected {width} fields, got {len(row)}")
+            raise FormatError(f"line {lines[i]}: expected {width} fields, got {len(row)}")
         for j, c in enumerate(idx):
             try:
                 data[i, j] = float(row[c])
             except ValueError:
-                raise FormatError(f"line {i + 2}: {row[c]!r} is not a number") from None
+                raise FormatError(f"line {lines[i]}: {row[c]!r} is not a number") from None
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         i, j = bad[0]
-        raise FormatError(f"line {i + 2}: {rows[i][idx[j]]!r} is not a finite number")
+        raise FormatError(f"line {lines[i]}: {rows[i][idx[j]]!r} is not a finite number")
     return Tensor(data)

@@ -18,8 +18,6 @@ from .errors import (
 from .graph import Model
 from .tensor import as_array
 
-CE_EPS = 1e-12
-
 # -- losses -------------------------------------------------------------------
 
 
@@ -52,10 +50,11 @@ def loss_and_grad(kind: str, prediction, target) -> tuple[float, np.ndarray]:
                 "cross_entropy needs probability rows; worst row sum "
                 f"{sums[np.abs(sums - 1.0).argmax()]:.8f}"
             )
-        logp = np.log(p + CE_EPS)
-        loss = float(-(t * logp).sum(axis=1).mean())
-        grad = -(t / (p + CE_EPS)) / p.shape[0]
-        return loss, grad
+        # Flooring at the smallest normal float keeps the log and the
+        # divisor finite without moving any probability that is not zero.
+        q = np.maximum(p, np.finfo(float).tiny)
+        loss = float(-(t * np.log(q)).sum(axis=1).mean())
+        return loss, -(t / q) / p.shape[0]
     raise ParameterError(f"unknown loss {kind!r}")
 
 

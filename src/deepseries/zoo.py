@@ -69,17 +69,11 @@ def family_presence(model: Model) -> dict[str, bool]:
 
 @dataclass(frozen=True)
 class ArchitectureDescriptor:
-    """Registry metadata for one architecture.
-
-    ``family_contract`` holds the node-family counts of the default build;
-    ``families`` holds the published capability booleans (for entries with a
-    selectable recurrent flavour the union over allowed flavours).
-    """
+    """Registry metadata for one architecture; its node families are read
+    off a build (:func:`describe`)."""
 
     name: str
     summary: str
-    family_contract: dict[str, int]
-    families: dict[str, bool]
     default_hyper: dict
     multi_input: int = 1
     citation: str = ""
@@ -312,39 +306,13 @@ def _zheng_zhenyu(b, inp, h):
     return b.add("lstm", LSTM(h["units"]), cur)
 
 
-@dataclass(frozen=True)
-class _Entry:
-    descriptor: ArchitectureDescriptor
-    builder: Callable
+# name -> (descriptor, builder)
+_REGISTRY: dict[str, tuple[ArchitectureDescriptor, Callable]] = {}
 
 
-def _contract(**kw) -> dict[str, int]:
-    counts = {k: 0 for k in FAMILY_KEYS}
-    counts.update(kw)
-    return counts
-
-
-def _fams(**kw) -> dict[str, bool]:
-    fams = {"cnn": False, "lstm": False, "gru": False, "bilstm": False, "bigru": False}
-    fams.update(kw)
-    return fams
-
-
-_REGISTRY: dict[str, _Entry] = {}
-
-
-def _register(name, summary, contract, families, hyper, builder,
-              multi_input=1, citation=None):
-    _REGISTRY[name] = _Entry(
-        ArchitectureDescriptor(
-            name=name,
-            summary=summary,
-            family_contract=contract,
-            families=families,
-            default_hyper=hyper,
-            multi_input=multi_input,
-            citation=citation or name,
-        ),
+def _register(name, summary, hyper, builder, multi_input=1, citation=None):
+    _REGISTRY[name] = (
+        ArchitectureDescriptor(name, summary, hyper, multi_input, citation or name),
         builder,
     )
 
@@ -352,8 +320,6 @@ def _register(name, summary, contract, families, hyper, builder,
 _register(
     "CaiWenjuan",
     "parallel entry convolutions, two dense concat blocks with squeeze-excite, global pool",
-    _contract(conv1d=19, pool1d=1, batchnorm=16, se_block=2),
-    _fams(cnn=True),
     {"entry_kernels": [3, 5, 7], "entry_filters": 8, "growth": 8, "blocks": 2,
      "block_depth": 4, "kernel": 3, "se_ratio": 8},
     _cai_wenjuan,
@@ -361,88 +327,66 @@ _register(
 _register(
     "ChenChen",
     "six conv/max-pool stages into two stacked LSTMs",
-    _contract(conv1d=6, pool1d=6, lstm=2),
-    _fams(cnn=True, lstm=True),
     {"filters": [16, 32, 64, 128, 128, 128], "kernel": 3, "pool": 2, "units": 64},
     partial(_conv_lstm, lstms=2),
 )
 _register(
     "FuJiangmeng",
     "one conv/max-pool stage into an LSTM",
-    _contract(conv1d=1, pool1d=1, lstm=1),
-    _fams(cnn=True, lstm=True),
     {"filters": [16], "kernel": 3, "pool": 2, "units": 64},
     partial(_conv_lstm, lstms=1),
 )
 _register(
     "GaoJunli",
     "a single LSTM over the raw series",
-    _contract(lstm=1),
-    _fams(lstm=True),
     {"units": 64},
     _gao_junli,
 )
 _register(
     "GenMinxing",
     "a single bidirectional LSTM over the raw series",
-    _contract(bilstm=1),
-    _fams(bilstm=True),
     {"units": 64},
     _gen_minxing,
 )
 _register(
     "HongTan",
     "two conv/max-pool stages into three stacked LSTMs",
-    _contract(conv1d=2, pool1d=2, lstm=3),
-    _fams(cnn=True, lstm=True),
     {"filters": [16, 32], "kernel": 3, "pool": 2, "units": 64},
     partial(_conv_lstm, lstms=3),
 )
 _register(
     "HtetMyetLynn",
     "four convolutions into a bidirectional recurrent layer (GRU or LSTM)",
-    _contract(conv1d=4, bigru=1),
-    _fams(cnn=True, bilstm=True, bigru=True),
     {"filters": [16, 32, 64, 128], "kernel": 3, "units": 64, "recurrent": "gru"},
     _htet_myet_lynn,
 )
 _register(
     "HuangMeiLing",
     "two conv/max-pool stages, convolution only",
-    _contract(conv1d=2, pool1d=2),
-    _fams(cnn=True),
     {"filters": [16, 32], "kernel": 3, "pool": 2},
     partial(_conv_lstm, lstms=0),
 )
 _register(
     "KhanZulfiqar",
     "two conv+dropout stages into two stacked GRUs",
-    _contract(conv1d=2, dropout=2, gru=2),
-    _fams(cnn=True, gru=True),
     {"filters": [16, 32], "kernel": 3, "dropout": 0.2, "units": 64},
     _khan_zulfiqar,
 )
 _register(
     "KimTaeYoung",
     "two convolutions with max pooling between, then an LSTM",
-    _contract(conv1d=2, pool1d=1, lstm=1),
-    _fams(cnn=True, lstm=True),
     {"filters": [16, 32], "kernel": 3, "pool": 2, "units": 64},
     _pooled_between,
 )
 _register(
     "KongZhengmin",
     "one conv/max-pool stage into two stacked LSTMs",
-    _contract(conv1d=1, pool1d=1, lstm=2),
-    _fams(cnn=True, lstm=True),
     {"filters": [16], "kernel": 3, "pool": 2, "units": 64},
     partial(_conv_lstm, lstms=2),
 )
 _register(
     "LihOhShu",
     "five conv/max-pool stages (wide first kernel) into an LSTM",
-    _contract(conv1d=5, pool1d=5, lstm=1),
-    _fams(cnn=True, lstm=True),
     {"filters": [16, 32, 64, 128, 128], "kernel": 3, "first_kernel": 5,
      "pool": 2, "units": 64},
     partial(_conv_lstm, lstms=1),
@@ -450,16 +394,12 @@ _register(
 _register(
     "OhShuLih",
     "three full-padded convolutions with pooling between, then an LSTM",
-    _contract(conv1d=3, pool1d=2, lstm=1),
-    _fams(cnn=True, lstm=True),
     {"filters": [16, 32, 64], "kernel": 3, "pool": 2, "units": 64},
     partial(_pooled_between, padding="full"),
 )
 _register(
     "ShiHaotian",
     "three parallel conv/max-pool branches concatenated into an LSTM",
-    _contract(conv1d=3, pool1d=3, lstm=1),
-    _fams(cnn=True, lstm=True),
     {"filters": [16], "kernel": 3, "pool": 2, "units": 64},
     _shi_haotian,
     multi_input=3,
@@ -467,16 +407,12 @@ _register(
 _register(
     "WangKejun",
     "two sequence LSTMs followed by two convolutions",
-    _contract(conv1d=2, lstm=2),
-    _fams(cnn=True, lstm=True),
     {"filters": [32, 64], "kernel": 3, "units": 64},
     _wang_kejun,
 )
 _register(
     "WeiXiaoyan",
     "five conv(leaky)/pool/batchnorm blocks, then LSTM-batchnorm-LSTM",
-    _contract(conv1d=5, pool1d=5, batchnorm=6, lstm=2),
-    _fams(cnn=True, lstm=True),
     {"filters": [16, 32, 64, 128, 128], "kernel": 3, "pool": 2, "units": 64},
     _wei_xiaoyan,
 )
@@ -484,8 +420,6 @@ _register(
     "YaoQihang",
     "thirteen conv-batchnorm-relu layers in five pooled blocks, two LSTMs, "
     "optional tanh attention head",
-    _contract(conv1d=13, pool1d=5, batchnorm=13, lstm=2),
-    _fams(cnn=True, lstm=True),
     {"filters": [16, 32, 64, 128, 128], "block_convs": [2, 2, 3, 3, 3],
      "kernel": 3, "first_kernel": 5, "pool": 2, "units": 64,
      "attention": False, "att_units": 32},
@@ -494,24 +428,18 @@ _register(
 _register(
     "YiboGao",
     "three stacked residual temporal-attention blocks with a global pool",
-    _contract(rta_block=3, pool1d=1),
-    _fams(cnn=True),
     {"filters": [16, 32, 64], "kernel": 3, "rta_pool": 2},
     _yibo_gao,
 )
 _register(
     "YildirimOzal",
     "convolutional encoder (trainable as an autoencoder) into an LSTM",
-    _contract(conv1d=2, pool1d=2, lstm=1),
-    _fams(cnn=True, lstm=True),
     {"filters": [16, 32], "kernel": 3, "pool": 2, "units": 64},
     _yildirim_ozal,
 )
 _register(
     "ZhangJin",
     "conv/pool stages gated by spatial-temporal attention, then a bidirectional GRU",
-    _contract(conv1d=2, pool1d=2, attention=2, bigru=1),
-    _fams(cnn=True, bigru=True),
     {"filters": [16, 32], "kernel": 3, "pool": 2, "units": 64,
      "se_ratio": 8, "att_kernel": 7},
     _zhang_jin,
@@ -519,16 +447,12 @@ _register(
 _register(
     "ZhengZhenyu",
     "three blocks of two conv-batchnorm pairs with max pooling, then an LSTM",
-    _contract(conv1d=6, pool1d=3, batchnorm=6, lstm=1),
-    _fams(cnn=True, lstm=True),
     {"filters": [16, 32, 64], "kernel": 3, "pool": 2, "units": 64},
     _zheng_zhenyu,
 )
 _register(
     "ExampleModel",
     "two conv/max-pool stages into a compact LSTM",
-    _contract(conv1d=2, pool1d=2, lstm=1),
-    _fams(cnn=True, lstm=True),
     {"filters": [16, 32], "kernel": 3, "pool": 2, "units": 20},
     partial(_conv_lstm, lstms=1),
     citation="worked example",
@@ -543,12 +467,12 @@ def names() -> list[str]:
 
 
 def list_models() -> list[ArchitectureDescriptor]:
-    return [e.descriptor for e in _REGISTRY.values()]
+    return [desc for desc, _ in _REGISTRY.values()]
 
 
 def get_descriptor(name: str) -> ArchitectureDescriptor:
     try:
-        return _REGISTRY[name].descriptor
+        return _REGISTRY[name][0]
     except KeyError:
         raise RegistryError(
             f"unknown architecture {name!r}; the catalogue lists the valid names"
@@ -556,16 +480,34 @@ def get_descriptor(name: str) -> ArchitectureDescriptor:
 
 
 def _same_kind(default, val) -> bool:
-    """Whether an override has the type of the registry default (ints pass as floats)."""
-    if isinstance(default, list):
-        return isinstance(val, (list, tuple)) and all(_same_kind(default[0], v) for v in val)
+    """Whether a scalar has the type of a scalar default (ints pass as floats)."""
     if isinstance(default, bool) or isinstance(val, bool):
         return isinstance(default, bool) and isinstance(val, bool)
-    if isinstance(default, int):
-        return isinstance(val, numbers.Integral)
-    if isinstance(default, float):
-        return isinstance(val, numbers.Real)
-    return isinstance(val, type(default))
+    kind = {int: numbers.Integral, float: numbers.Real}.get(type(default), type(default))
+    return isinstance(val, kind)
+
+
+def typed_override(what: str, key: str, default, val):
+    """``val`` as an override of ``default``, converted to the default's type.
+
+    It must be of the default's kind (ints pass as floats); a scalar given
+    for a list default becomes a one-value list.  Integers, and the elements
+    of integer lists, are counts and sizes, so they must be >= 0.  Errors
+    read ``"<what> '<key>' ..."``.
+    """
+    is_list = isinstance(default, list)
+    values = list(val) if is_list and isinstance(val, (list, tuple)) else [val]
+    kind = default[0] if is_list else default
+    if not all(_same_kind(kind, v) for v in values):
+        raise ParameterError(
+            f"{what} {key!r} takes a value like its default {default!r}, got {val!r}")
+    try:
+        values = [type(kind)(v) for v in values]
+    except OverflowError:  # an integer too large for a float
+        raise ParameterError(f"{what} {key!r} is out of range, got {val}") from None
+    if type(kind) is int and min(values, default=0) < 0:
+        raise ParameterError(f"{what} {key!r} must be >= 0, got {val!r}")
+    return values if is_list else values[0]
 
 
 def _merge_hyper(desc: ArchitectureDescriptor, overrides: dict) -> dict:
@@ -575,29 +517,13 @@ def _merge_hyper(desc: ArchitectureDescriptor, overrides: dict) -> dict:
             raise ParameterError(
                 f"{desc.name} has no hyperparameter {key!r}; allowed: {sorted(h)}"
             )
-        if not _same_kind(h[key], val):
-            raise ParameterError(
-                f"{desc.name} hyperparameter {key!r} takes a value like its default "
-                f"{h[key]!r}, got {val!r}"
-            )
-        default = h[key][0] if isinstance(h[key], list) else h[key]
-        values = val if isinstance(val, (list, tuple)) else [val]
-        if type(default) is int and min(values, default=0) < 0:  # counts and sizes
-            raise ParameterError(
-                f"{desc.name} hyperparameter {key!r} must be >= 0, got {val!r}"
-            )
-        h[key] = val
+        h[key] = typed_override(f"{desc.name} hyperparameter", key, h[key], val)
     return h
 
 
 def _assemble(name: str, input_shape, hyper: dict, top: Optional[TopModule],
               seed: int) -> Model:
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        raise RegistryError(
-            f"unknown architecture {name!r}; the catalogue lists the valid names"
-        )
-    desc = entry.descriptor
+    desc = get_descriptor(name)
     h = _merge_hyper(desc, hyper)
     shape = tuple(int(s) for s in input_shape)
     if len(shape) != 2 or min(shape) < 1:
@@ -607,7 +533,7 @@ def _assemble(name: str, input_shape, hyper: dict, top: Optional[TopModule],
         inputs = [b.input("x", shape)]
     else:
         inputs = [b.input(f"x{i + 1}", shape) for i in range(desc.multi_input)]
-    out = entry.builder(b, inputs, h)
+    out = _REGISTRY[name][1](b, inputs, h)
     if top is not None:
         for suffix, layer in top.instantiate():
             out = b.add(f"top_{suffix}", layer, out)

@@ -65,6 +65,20 @@ def test_describe_rejects_mistyped_hyper(capsys):
     assert "Traceback" not in err
 
 
+def test_describe_takes_a_one_value_list(capsys):
+    # a scalar for a list hyperparameter is its one-value list
+    code, out, _ = run_cli(["describe", "FuJiangmeng", "--hyper", "filters=32"], capsys)
+    assert code == 0
+    assert "hyper.filters: [32]" in out.splitlines()
+
+
+@pytest.mark.parametrize("text", ["32+", "+", "1++2"])
+def test_describe_rejects_empty_list_elements(capsys, text):
+    code, _, err = run_cli(["describe", "FuJiangmeng", "--hyper", f"filters={text}"], capsys)
+    assert code == 2
+    assert err == f"error: empty list element in {text!r}\n"
+
+
 @pytest.mark.parametrize("name,filters", [("YaoQihang", "16+16"),
                                           ("YildirimOzal", "16+32+64")])
 def test_describe_rejects_filters_of_the_wrong_length(capsys, name, filters):
@@ -449,6 +463,7 @@ CSV_20 = ["--csv", "CSV", "--window", "20", "--horizon", "2", "--epochs", "1"]
     ("forecast", FAST_SINE + ["--delta", "inf"], None),
     ("forecast", FAST_SINE + ["--lr", "nan"], None),
     ("forecast", FAST_SINE + ["--lr", "inf"], None),
+    ("forecast", FAST_SINE + ["--smooth-window", "-3", "--smooth-iters", "-2"], None),
 ])
 def test_bad_settings_exit_2(tmp_path, capsys, monkeypatch, task, flags, config):
     monkeypatch.chdir(tmp_path)

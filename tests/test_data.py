@@ -384,6 +384,9 @@ def test_load_csv_error_reporting():
         load_csv(io.StringIO("a,b\n1,2\n1,oops\n"))
     with pytest.raises(FormatError, match="line 3: expected 2 fields, got 3"):
         load_csv(io.StringIO("a,b\n1,2\n1,2,3\n"))
+    # blank lines count: blank rows were once dropped before numbering
+    with pytest.raises(FormatError, match="line 4: 'oops' is not a number"):
+        load_csv(io.StringIO("a,b\n\n1,2\n1,oops\n"))
     with pytest.raises(DataError, match="no data rows"):
         load_csv(io.StringIO(""))
     with pytest.raises(DataError, match="header but no data"):
@@ -397,6 +400,8 @@ def test_load_csv_header_and_rows_must_agree_in_width():
         load_csv(io.StringIO("a,b\n1\n2\n"), columns=["b"])
     with pytest.raises(FormatError, match="header has 1 fields but line 2 has 2"):
         load_csv(io.StringIO("a\n1,2\n3,4\n"))
+    with pytest.raises(FormatError, match="header has 2 fields but line 3 has 1"):
+        load_csv(io.StringIO("a,b\n\n1\n"))
 
 
 def test_load_csv_rejects_non_finite_cells():

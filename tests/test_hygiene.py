@@ -1,12 +1,15 @@
 """Source hygiene: every name a library module imports is used in it, every
 module-level private function or class is referenced, every attribute the
-library assigns is read, and no raw-stride view can be written through.
+library assigns is read, no module reads another's private names, and no
+raw-stride view can be written through.
 
 Package ``__init__`` modules are skipped by the import check, since they
 import to re-export.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -49,7 +52,7 @@ def private_definitions(path: Path) -> list[tuple[str, str]]:
 
 
 def references(path: Path) -> set[str]:
-    """Names the module reads, bare or as an attribute (``zoo._same_kind``)."""
+    """Names the module reads, bare or as an attribute (``obj._name``)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
             | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
@@ -62,6 +65,31 @@ def test_private_definitions_are_referenced():
     assert defined
     used = set().union(*(references(p) for p in modules))
     assert [f"{where} {name}" for name, where in defined if name not in used] == []
+
+
+def foreign_private_reads(path: Path) -> list[str]:
+    """``file:line module._name`` for each private name the module reads off
+    another deepseries module it imported."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for n in ast.walk(tree):
+        if not (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.attr.startswith("_") and not n.attr.startswith("__")):
+            continue
+        other = getattr(module, n.value.id, None)
+        if (isinstance(other, types.ModuleType) and other is not module
+                and other.__name__.startswith("deepseries")):
+            found.append(f"{path.relative_to(SRC)}:{n.lineno} {n.value.id}.{n.attr}")
+    return found
+
+
+def test_modules_read_no_private_names_of_other_modules():
+    # a private name is free to change with its own module; a reader elsewhere
+    # pins it, so a rule two modules share belongs in public API
+    found = [entry for p in sorted(SRC.rglob("*.py")) for entry in foreign_private_reads(p)]
+    assert found == []
 
 
 def attribute_uses(path: Path) -> tuple[list[tuple[str, str]], set[str]]:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from deepseries.errors import (
 )
 from deepseries.graph import GraphBuilder
 from deepseries.layers import Dense
+from deepseries.layers.base import activation_pair
 from deepseries.train import (
     Adam,
     EarlyStopping,
@@ -51,10 +53,27 @@ def test_cross_entropy_hand_values():
     p = [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]]
     t = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     loss, grad = loss_and_grad("cross_entropy", p, t)
-    want = -(math.log(0.7 + 1e-12) + math.log(0.8 + 1e-12)) / 2.0
+    want = -(math.log(0.7) + math.log(0.8)) / 2.0
     assert loss == pytest.approx(want, abs=1e-12)
-    assert grad[0][0] == pytest.approx(-1.0 / (0.7 + 1e-12) / 2.0, abs=1e-12)
+    assert grad[0][0] == pytest.approx(-1.0 / 0.7 / 2.0, abs=1e-12)
     assert grad[0][1] == 0.0
+
+
+def test_cross_entropy_gradient_through_a_saturated_softmax():
+    # Logits [gap, 0] with target class 1: the exact logit gradient is p - t,
+    # +-1 here.  Adding 1e-12 to p gave +-0.086 at a gap of 30.
+    forward, backward = activation_pair("softmax")
+    t = np.array([[0.0, 1.0]])
+    for gap in (30.0, 700.0, 800.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test
+            p = forward(np.array([[gap, 0.0]]))
+            loss, grad = loss_and_grad("cross_entropy", p, t)
+            logit_grad = backward(grad, p)
+        assert np.isfinite(loss) and np.isfinite(logit_grad).all()
+        if gap <= 700.0:  # past ~708 p underflows and the gradient is only finite
+            assert loss == pytest.approx(gap)
+            np.testing.assert_array_equal(logit_grad, p - t)
 
 
 def test_cross_entropy_rejects_non_probability_rows():

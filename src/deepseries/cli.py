@@ -9,8 +9,10 @@ Commands
 
 A run's configuration is resolved once, in layers: the task preset, the CSV
 preset when the data comes from a CSV file, the ``--config`` file, then the
-flags.  Each key must be one the task reads, and each value must be of the
-kind of its preset value, whose type it then takes (``zoo.typed_override``).
+flags.  Each key must be one the task reads.  Every value, from a flag, a
+config line, ``--hyper`` or ``--synth``, is text read by the type of its
+default, so a word setting (``out``, ``csv``, ``column``, ``model``) takes its
+text as given; ``zoo.typed_override`` then checks it against the default.
 
 Exit codes: 0 ok, 2 usage (a bad flag, config key or value), 3 training
 diverged, 4 data problem, 5 weights file problem.  Every train run writes
@@ -49,13 +51,15 @@ EXIT_DIVERGED = 3
 EXIT_DATA = 4
 EXIT_WEIGHTS = 5
 
-_USAGE_ERRORS = (RegistryError, ParameterError)
+_USAGE_ERRORS = (RegistryError, ParameterError, ShapeError)
+# A weights file's FormatError or OSError is raised as _WeightsProblem (exit 5).
 _DATA_ERRORS = (
     DataError,
     DegenerateBatchError,
     DegenerateSegmentError,
     ContractError,
     MetricUndefinedError,
+    FormatError,
     OSError,
 )
 
@@ -87,46 +91,39 @@ _SYNTH_OPTIONS = {
 }
 
 
-def _parse_value(text: str):
+def _read_text(default, text: str):
+    """``text`` read as ``default``'s type (a list as ``+``-joined elements); else the text."""
     s = text.strip()
-    low = s.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    if "+" in s:
+    if isinstance(default, list):
         parts = s.split("+")
         if not all(p.strip() for p in parts):
             raise ParameterError(f"empty list element in {s!r}")
-        return [_parse_value(p) for p in parts]
+        return [_read_text(default[0], p) for p in parts]
+    if isinstance(default, bool):
+        return {"true": True, "false": False}.get(s.lower(), s)
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(s)
+        except ValueError:
+            return s
     return s
 
 
-def _parse_kv_list(text: str) -> dict:
-    """``a=1,b=2.5,c=x`` into a dict with int/float/bool coercion."""
+def _parse_kv_list(text: str, defaults: dict) -> dict:
+    """``a=1,b=2.5,c=x`` into a dict, each value read like its default (text without one)."""
     out = {}
     for part in text.split(","):
         if not part.strip():
             continue
         if "=" not in part:
             raise ParameterError(f"expected key=value, got {part!r}")
-        key, val = part.split("=", 1)
-        out[key.strip()] = _parse_value(val)
+        key, val = (t.strip() for t in part.split("=", 1))
+        out[key] = _read_text(defaults.get(key, ""), val)
     return out
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; ``#`` comments and blank lines ignored.
-
-    Values are parsed like ``--hyper`` values, except that the ``hyper``
-    value, itself a ``key=value`` list, stays text.
-    """
+    """Flat ``key = value`` lines as text; ``#`` comments and blank lines ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -140,35 +137,38 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ParameterError(f"{path}:{lineno}: expected key = value")
         key, val = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        out[key] = val if key == "hyper" else _parse_value(val)
+        out[key.strip().replace("-", "_")] = val
     return out
 
 
 def _resolve(args) -> dict:
     """The run configuration of ``train``/``eval`` as one dict, typed like the task preset.
 
-    Task preset < CSV preset < config file < flags, except that ``hyper``
-    overrides from the flag merge into those from the config file.
+    Task preset < CSV preset < config file < flags.  ``hyper`` stays the
+    ``key=value`` text of the config file joined with that of the flag, so
+    the flag's overrides win; ``_prepare`` reads it against the model.
     """
     preset = _TASK_PRESETS[args.task]
     file_cfg = _read_config_file(args.config) if args.config else {}
     flags = {k: v for k, v in vars(args).items()
              if v is not None and k not in ("command", "task", "config", "weights")}
-    given, hyper = {}, {}
+    hyper = ",".join(layer.pop("hyper", "") for layer in (file_cfg, flags))
+    given = {}
     for layer in (file_cfg, flags):
-        hyper.update(_parse_kv_list(layer.pop("hyper", "")))
-        for key, val in layer.items():
+        for key, text in layer.items():
             if key not in preset:
                 raise ParameterError(f"{key!r} is not a {args.task} setting; "
                                      f"allowed: {sorted([*preset, 'hyper'])}")
-            given[key] = zoo.typed_override("setting", key, preset[key], val)
+            given[key] = zoo.typed_override("setting", key, preset[key],
+                                            _read_text(preset[key], text))
     if given.get("csv") and "synth" in given:
         raise ParameterError("give either --csv or --synth, not both")
     cfg = {**preset, **(_CSV_PRESETS[args.task] if given.get("csv") else {}), **given,
            "task": args.task, "hyper": hyper}
     if not cfg["model"]:
         raise ParameterError("--model is required")
+    if not cfg["out"]:
+        raise ParameterError("out must name a directory, got ''")
     return cfg
 
 
@@ -180,7 +180,7 @@ def _synth_options(cfg: dict) -> dict:
         raise ParameterError(
             f"{cfg['task']} preset expects synth {family!r}, got {name.strip()!r}")
     defaults = {"length": cfg["window"], **_SYNTH_OPTIONS[family], "seed": cfg["seed"]}
-    given = _parse_kv_list(rest)
+    given = _parse_kv_list(rest, defaults)
     unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ParameterError(f"unknown {family} options {unknown}")
@@ -213,8 +213,7 @@ def _forecast_sets(cfg: dict):
 
 def _classify_sets(cfg: dict):
     if cfg["csv"]:
-        raw = data.load_csv(cfg["csv"])
-        arr = np.asarray(raw.array)
+        arr = data.load_csv(cfg["csv"]).array
         if arr.shape[1] < 2:
             raise DataError("classify CSV needs feature columns plus a final label column")
         feats, labels = arr[:, :-1], arr[:, -1]
@@ -224,10 +223,7 @@ def _classify_sets(cfg: dict):
         classes = int(labels.max()) + 1
         if classes < 2:
             raise DataError("classify needs at least two classes")
-        segs = np.stack([
-            np.asarray(data.pad_or_truncate(row[:, None], cfg["window"]).array)
-            for row in feats
-        ])
+        segs = np.stack([data.pad_or_truncate(r[:, None], cfg["window"]).array for r in feats])
         onehot = np.zeros((labels.size, classes))
         onehot[np.arange(labels.size), labels] = 1.0
         ds = data.SeriesDataset(segs, onehot)
@@ -235,26 +231,23 @@ def _classify_sets(cfg: dict):
         opts = _synth_options(cfg)
         classes = opts["classes"]
         ds = data.labeled_segments(**opts)
-    normalized = np.stack([
-        np.asarray(data.zscore(seg).array) for seg in np.asarray(ds.inputs.array)
-    ])
+    normalized = np.stack([data.zscore(seg).array for seg in ds.inputs.array])
     ds = data.SeriesDataset(normalized, ds.targets)
     sets = data.split_pairs(ds, (0.7, 0.2, 0.1), seed=cfg["seed"])
-    shape = tuple(np.asarray(ds.inputs.array).shape[1:])
+    shape = ds.inputs.shape[1:]
     top = zoo.make_top("classify", classes=classes)
     return sets, shape, top, {"classes": classes, "window": shape[0]}
 
 
 def _anomaly_sets(cfg: dict):
     if cfg["csv"]:
-        raw = np.asarray(data.load_csv(cfg["csv"]).array)
+        raw = data.load_csv(cfg["csv"]).array
         if raw.shape[1] < 2:
             raise DataError("anomaly CSV needs feature columns plus a final 0/1 label column")
         series, labels = raw[:, :-1], raw[:, -1]
     else:
         series, labels = data.traffic_with_anomalies(**_synth_options(cfg))
-        series = np.asarray(series.array)
-        labels = np.asarray(labels.array)
+        series, labels = series.array, labels.array
     window, steps = cfg["window"], cfg["steps"]
     ds, anom, clean = data.anomaly_windows(series, labels, window, steps, stride=steps)
     anom, clean = np.asarray(anom).astype(bool), np.asarray(clean).astype(bool)
@@ -314,7 +307,7 @@ def cmd_list(_args) -> int:
 
 
 def cmd_describe(args) -> int:
-    hyper = _parse_kv_list(args.hyper) if args.hyper else {}
+    hyper = _parse_kv_list(args.hyper, zoo.get_descriptor(args.model).default_hyper)
     report = zoo.describe(args.model, **hyper)
     for key in ("name", "summary", "citation", "multi_input", "param_count",
                 "output_shape"):
@@ -328,18 +321,15 @@ def cmd_describe(args) -> int:
     return EXIT_OK
 
 
+_TASK_SETS = {"forecast": _forecast_sets, "classify": _classify_sets, "anomaly": _anomaly_sets}
+
+
 def _prepare(cfg: dict):
-    if cfg["task"] == "forecast":
-        (tr, va, te), shape, top, extra = _forecast_sets(cfg)
-        test = (te, None)
-    elif cfg["task"] == "classify":
-        (tr, va, te), shape, top, extra = _classify_sets(cfg)
-        test = (te, None)
-    else:
-        (tr, va, test), shape, top, extra = _anomaly_sets(cfg)
-    model = zoo.build_model(cfg["model"], shape, top=top,
-                            seed=cfg["seed"], **cfg["hyper"])
-    return tr, va, test, model, extra
+    """Data parts, model and manifest extras; ``hyper`` is read against the model."""
+    hyper = _parse_kv_list(cfg["hyper"], zoo.get_descriptor(cfg["model"]).default_hyper)
+    (tr, va, test), shape, top, extra = _TASK_SETS[cfg["task"]](cfg)
+    model = zoo.build_model(cfg["model"], shape, top=top, seed=cfg["seed"], **hyper)
+    return tr, va, test, model, {**extra, "hyper": hyper}
 
 
 def _test_metrics(cfg: dict, model, test) -> list[tuple[str, float]]:
@@ -351,10 +341,9 @@ def _test_metrics(cfg: dict, model, test) -> list[tuple[str, float]]:
                 "test part has a single class; cannot score anomalies")
         scores, labels, score = data.anomaly_harness(model, te, te_anom, top_k=k)
         return [("auc", score), ("top_k", float(k))]
-    te, _ = test
-    pred = train.predict(model, te.inputs, batch_size=cfg["batch_size"])
+    pred = train.predict(model, test.inputs, batch_size=cfg["batch_size"])
     metric = "mae" if cfg["task"] == "forecast" else "accuracy"
-    return [(metric, train.evaluate(metric, pred, te.targets))]
+    return [(metric, train.evaluate(metric, pred, test.targets))]
 
 
 def cmd_train(args) -> int:
@@ -387,7 +376,7 @@ def cmd_eval(args) -> int:
     metrics = _test_metrics(cfg, model, test)
     for line in _metric_lines(metrics):
         print(line)
-    if getattr(args, "out", None):
+    if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_lines(os.path.join(args.out, "metrics.txt"), _metric_lines(metrics))
     return EXIT_OK
@@ -409,17 +398,17 @@ def _add_run_flags(p: argparse.ArgumentParser, with_weights: bool):
     p.add_argument("--column", help="CSV column to forecast (header name)")
     p.add_argument("--config", help="flat key = value config file; flags override")
     p.add_argument("--hyper", help="architecture overrides, e.g. units=32,kernel=5")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--smooth-window", dest="smooth_window", type=int)
-    p.add_argument("--smooth-iters", dest="smooth_iters", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--seed")
+    p.add_argument("--window")
+    p.add_argument("--horizon")
+    p.add_argument("--steps")
+    p.add_argument("--smooth-window", dest="smooth_window")
+    p.add_argument("--smooth-iters", dest="smooth_iters")
+    p.add_argument("--epochs")
+    p.add_argument("--batch-size", dest="batch_size")
+    p.add_argument("--patience")
+    p.add_argument("--delta")
+    p.add_argument("--lr")
     p.add_argument("--out", help="output directory (default 'run')")
     if with_weights:
         p.add_argument("--weights", required=True, help="weights file from a train run")
@@ -434,7 +423,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="catalogue the registered architectures")
     d = sub.add_parser("describe", help="print one architecture descriptor")
     d.add_argument("model")
-    d.add_argument("--hyper", help="overrides, e.g. units=32")
+    d.add_argument("--hyper", default="", help="overrides, e.g. units=32")
     t = sub.add_parser("train", help="run a task preset end to end")
     _add_run_flags(t, with_weights=False)
     e = sub.add_parser("eval", help="recompute the test metric from saved weights")
@@ -457,16 +446,9 @@ def main(argv: Optional[list] = None) -> int:
     except _WeightsProblem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WEIGHTS
-    except FormatError as exc:
-        # weights-file problems are tagged above; remaining format errors are data
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

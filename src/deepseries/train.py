@@ -81,6 +81,9 @@ class Adam:
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
         self.frozen = set(frozen)
+        unknown = sorted(self.frozen - set(params))
+        if unknown:
+            raise ParameterError(f"frozen names {unknown} are not parameters")
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items() if k not in self.frozen}
         self.v = {k: np.zeros_like(v) for k, v in params.items() if k not in self.frozen}
@@ -184,7 +187,7 @@ def predict(model: Model, inputs, batch_size: int = 256) -> np.ndarray:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     xs = as_array(inputs)
     outs = [
-        np.asarray(model.forward(_model_inputs(model, xs[sel]), train=False).array)
+        model.forward(_model_inputs(model, xs[sel]), train=False).array
         for sel in _batches(xs.shape[0], batch_size)
     ]
     if not outs:  # nothing to run; still reject a wrong per-sample shape

@@ -451,7 +451,7 @@ CSV_20 = ["--csv", "CSV", "--window", "20", "--horizon", "2", "--epochs", "1"]
     ("forecast", FAST_SINE, "window = abc"),
     ("forecast", FAST_SINE, "delta = x"),
     ("forecast", CSV_20 + ["--seed", "-1"], None),
-    ("forecast", FAST_SINE, "out = 3"),
+    ("forecast", FAST_SINE, "out ="),  # empty: it used to fail after training
     ("forecast", FAST_SINE, "windw = 30"),  # a typo
     ("forecast", FAST_SINE, "task = classify"),  # the task is the --task flag
     ("classify", ["--synth", "segments:classes=2,count=4,length=16", "--epochs", "1",
@@ -464,6 +464,7 @@ CSV_20 = ["--csv", "CSV", "--window", "20", "--horizon", "2", "--epochs", "1"]
     ("forecast", FAST_SINE + ["--lr", "nan"], None),
     ("forecast", FAST_SINE + ["--lr", "inf"], None),
     ("forecast", FAST_SINE + ["--smooth-window", "-3", "--smooth-iters", "-2"], None),
+    ("forecast", FAST_SINE + ["--out", ""], None),
 ])
 def test_bad_settings_exit_2(tmp_path, capsys, monkeypatch, task, flags, config):
     monkeypatch.chdir(tmp_path)
@@ -480,6 +481,58 @@ def test_bad_settings_exit_2(tmp_path, capsys, monkeypatch, task, flags, config)
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_word_settings_take_their_text_in_a_config_file(tmp_path, capsys):
+    # a word that holds a "+" or reads as a number used to exit 2 from a config line
+    csv_path = tmp_path / "s.csv"
+    csv_path.write_text("step,2023\n" + "".join(f"{i},{np.sin(i / 7.0):.6f}\n"
+                                                for i in range(300)))
+    out_dir = tmp_path / "a+b"
+    (tmp_path / "run.cfg").write_text(f"out = {out_dir}\ncolumn = 2023\n")
+    code, _, err = run_cli(
+        ["train", "--task", "forecast", "--model", "ExampleModel", "--csv", str(csv_path),
+         "--window", "20", "--horizon", "2", "--epochs", "1",
+         "--config", str(tmp_path / "run.cfg")], capsys)
+    assert code == 0, err
+    manifest = (out_dir / "manifest.txt").read_text().splitlines()
+    assert f"out = {out_dir}" in manifest
+    assert "column = 2023" in manifest and "features = 1" in manifest
+
+
+def _run_flag_dests(command):
+    argv = [command, "--task", "forecast"] + (["--weights", "w"] if command == "eval" else [])
+    return set(vars(cli._parser().parse_args(argv))) - {"command"}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_every_run_flag_names_a_preset_key(command):
+    # the presets alone carry the setting types, so no flag may go without one
+    keys = {k for p in cli._TASK_PRESETS.values() for k in p}
+    assert _run_flag_dests(command) - {"task", "config", "hyper", "weights"} <= keys
+
+
+def _resolve_or_error(argv):
+    try:
+        return cli._resolve(cli._parser().parse_args(argv))
+    except ParameterError:
+        return ParameterError
+
+
+@pytest.mark.parametrize("key", sorted(_run_flag_dests("train")
+                                       - {"task", "config", "hyper"}))
+def test_a_flag_and_a_config_line_read_alike(tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    for task, preset in cli._TASK_PRESETS.items():
+        if key not in preset:
+            continue
+        base = ["train", "--task", task] + ([] if key == "model" else
+                                            ["--model", "ExampleModel"])
+        for text in ["3", "runs/a+b", "abc", "-1", "2.5", "true", ""]:
+            cfg.write_text(f"{key} = {text}\n")
+            from_flag = _resolve_or_error(base + [f"--{key.replace('_', '-')}={text}"])
+            from_file = _resolve_or_error(base + ["--config", str(cfg)])
+            assert from_flag == from_file, (task, key, text)
 
 
 _SETTING_KEYS = sorted({k for p in cli._TASK_PRESETS.values() for k in p}

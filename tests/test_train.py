@@ -171,6 +171,13 @@ def test_adam_frozen_parameters_do_not_move():
     assert not np.array_equal(params["b"], np.ones(2))
 
 
+def test_adam_rejects_unknown_frozen_names():
+    # an unknown name used to freeze nothing, so a misspelt one went unnoticed
+    params = {"conv1/w": np.ones(2), "conv1/b": np.ones(2)}
+    with pytest.raises(ParameterError, match=r"\['conv1/W', 'nope'\] are not parameters"):
+        Adam(params, frozen=["conv1/W", "nope", "conv1/b"])
+
+
 def test_adam_parameter_validation():
     with pytest.raises(ParameterError):
         Adam({"w": np.zeros(1)}, lr=0.0)

@@ -5,7 +5,8 @@ Commands
 * ``list``                         catalogue of registered architectures
 * ``describe <model>``             one descriptor as ``key: value`` lines
 * ``train --task T --model M ...`` preset pipeline, writes run artifacts
-* ``eval --task T --model M --weights F ...``  test metric from saved weights
+* ``eval --task T --model M --weights F ...``  test metric from saved weights,
+  also written to ``metrics.txt`` in ``out`` when ``out`` is given
 
 A run's configuration is resolved once, in layers: the task preset, the CSV
 preset when the data comes from a CSV file, the ``--config`` file, then the
@@ -147,8 +148,12 @@ def _resolve(args) -> dict:
     Task preset < CSV preset < config file < flags.  ``hyper`` stays the
     ``key=value`` text of the config file joined with that of the flag, so
     the flag's overrides win; ``_prepare`` reads it against the model.
+    ``eval`` has no default ``out``: it writes ``metrics.txt`` only where
+    ``out`` is given.
     """
     preset = _TASK_PRESETS[args.task]
+    if args.command == "eval":
+        preset = {**preset, "out": ""}
     file_cfg = _read_config_file(args.config) if args.config else {}
     flags = {k: v for k, v in vars(args).items()
              if v is not None and k not in ("command", "task", "config", "weights")}
@@ -167,7 +172,7 @@ def _resolve(args) -> dict:
            "task": args.task, "hyper": hyper}
     if not cfg["model"]:
         raise ParameterError("--model is required")
-    if not cfg["out"]:
+    if given.get("out") == "":
         raise ParameterError("out must name a directory, got ''")
     return cfg
 
@@ -376,9 +381,9 @@ def cmd_eval(args) -> int:
     metrics = _test_metrics(cfg, model, test)
     for line in _metric_lines(metrics):
         print(line)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_lines(os.path.join(args.out, "metrics.txt"), _metric_lines(metrics))
+    if cfg["out"]:
+        os.makedirs(cfg["out"], exist_ok=True)
+        _write_lines(os.path.join(cfg["out"], "metrics.txt"), _metric_lines(metrics))
     return EXIT_OK
 
 
@@ -409,7 +414,8 @@ def _add_run_flags(p: argparse.ArgumentParser, with_weights: bool):
     p.add_argument("--patience")
     p.add_argument("--delta")
     p.add_argument("--lr")
-    p.add_argument("--out", help="output directory (default 'run')")
+    p.add_argument("--out", help="output directory (train: default 'run'; "
+                                 "eval: none, so nothing is written)")
     if with_weights:
         p.add_argument("--weights", required=True, help="weights file from a train run")
 

@@ -11,7 +11,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..errors import DegenerateBatchError, ParameterError, ShapeError
 from .base import Layer, activation_pair, fan_uniform
@@ -76,17 +75,15 @@ class Conv1D(Layer):
         self.params["b"] = np.zeros(f)
 
     def forward(self, x, train=False, cache=None):
-        before, after = self._pad_amounts()
-        xp = np.pad(x, ((0, 0), (before, after), (0, 0))) if before or after else x
-        xp = np.ascontiguousarray(xp)  # np.pad keeps a Fortran-ordered input's order
+        xp = _pad_time(x, *self._pad_amounts())
         b, time, ch = xp.shape
         k, f = self.kernel, self.filters
         t_out = time - k + 1
         # In a C-contiguous xp, the k * ch values from xp[i, s, 0] on are the
         # window at step s.  The channel stride is the item size, not
         # xp.strides[2]: a C-contiguous size-1 axis may carry any stride.
-        win = as_strided(xp, (b, t_out, k * ch), (*xp.strides[:2], xp.itemsize),
-                         writeable=False)
+        win = np.ndarray((b, t_out, k * ch), buffer=memoryview(xp).toreadonly(),
+                         strides=(*xp.strides[:2], xp.itemsize))
         n, kc = b * t_out, k * ch
         w2 = self.params["w"].reshape(kc, f)
         if b == 1:  # one sample's windows are already a matrix view
@@ -122,6 +119,24 @@ class Conv1D(Layer):
             dxp[:, j : j + t_out] += dz @ w[j].T
         dx = dxp[:, before : before + cache["in_time"]]
         return dx, {"w": dw, "b": db}
+
+
+def _pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """``x`` with zero steps added before and after, as a C-contiguous array.
+
+    Without padding ``x`` itself is returned when already C-contiguous.
+    ``np.pad`` works out its pad widths and fill anew on every call, which
+    at batch 1 costs many times the copy; zeroing only the pad steps, not a
+    whole array that the copy then overwrites, keeps large batches as fast.
+    """
+    if not (before or after):
+        return np.ascontiguousarray(x)
+    b, t, ch = x.shape
+    xp = np.empty((b, before + t + after, ch))
+    xp[:, :before] = 0.0
+    xp[:, before + t :] = 0.0
+    xp[:, before : before + t] = x
+    return xp
 
 
 class Pool1D(Layer):
@@ -574,7 +589,7 @@ class PadTime(Layer):
     def forward(self, x, train=False, cache=None):
         if cache is not None:
             cache.update(time=x.shape[1])
-        return np.pad(x, ((0, 0), (0, self.length - x.shape[1]), (0, 0)))
+        return _pad_time(x, 0, self.length - x.shape[1])
 
     def backward(self, upstream, cache):
         return upstream[:, : cache["time"]], {}

@@ -36,23 +36,26 @@ class _Recurrent(Layer):
         per_step[:, -1] = upstream
         return per_step
 
-    def _inference_terms(self, x, order, n_sigmoid):
-        """Gate columns in ``order`` with the first ``n_sigmoid`` halved.
+    def _inference_terms(self, x):
+        """``wh`` and the input term ``x @ wx + b`` in the inference gate layout.
 
+        Stacks ``wx``, ``wh`` and ``b``, gathers the columns into the order
+        ``_order`` fixed at build, and halves the leading ``_n_sigmoid``
+        columns, the sigmoid gates, in place:
         ``sigmoid(z) = 0.5 + 0.5 * tanh(z / 2)`` and halving is exact, so one
-        ``tanh`` of the halved pre-activations serves every gate.  Returns
-        ``wh`` and the input term ``x @ wx + b`` laid out ``[time, batch,
-        gates]``, so each step reads a contiguous block.  Rebuilt on every
-        call, so parameter updates apply at once.
+        ``tanh`` of the halved pre-activations serves every gate.  The input
+        term is laid out ``[time, batch, gates]``, so each step reads a
+        contiguous block.  Derived from the parameters on every call, so
+        parameter updates apply at once.
         """
-        scale = np.ones(self.params["b"].size)
-        scale[:n_sigmoid] = 0.5
-        wx, wh, bias = (self.params[k][..., order] * scale for k in ("wx", "wh", "b"))
         b, t, ch = x.shape
+        p = self.params
+        w = np.concatenate((p["wx"], p["wh"], p["b"][None]))[:, self._order]
+        w[:, : self._n_sigmoid] *= 0.5
         x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t * b, ch)
-        xw = x_tm @ wx
-        xw += bias
-        return wh, xw.reshape(t, b, bias.size)
+        xw = x_tm @ w[:ch]
+        xw += w[-1]
+        return w[ch:-1], xw.reshape(t, b, w.shape[1])
 
 
 class LSTM(_Recurrent):
@@ -79,6 +82,8 @@ class LSTM(_Recurrent):
         b = np.zeros(4 * u)
         b[u : 2 * u] = 1.0  # forget-gate bias
         self.params["b"] = b
+        self._order = np.arange(4 * u).reshape(4, u)[[0, 1, 3, 2]].ravel()  # i f o g
+        self._n_sigmoid = 3 * u
 
     def forward(self, x, train=False, cache=None):
         if cache is None:
@@ -110,8 +115,7 @@ class LSTM(_Recurrent):
     def _infer(self, x):
         b, t, _ = x.shape
         u = self.units
-        ifog = np.r_[: 2 * u, 3 * u : 4 * u, 2 * u : 3 * u]  # sigmoid gates first
-        wh, xw = self._inference_terms(x, ifog, 3 * u)
+        wh, xw = self._inference_terms(x)
         h = np.zeros((b, u))
         c = np.zeros((b, u))
         hs = np.empty((b, t, u)) if self.return_sequences else None
@@ -190,6 +194,8 @@ class GRU(_Recurrent):
         self.params["wx"] = recurrent_uniform(rng, (ch, 3 * u), u)
         self.params["wh"] = recurrent_uniform(rng, (u, 3 * u), u)
         self.params["b"] = np.zeros(3 * u)
+        self._order = slice(None)
+        self._n_sigmoid = 2 * u
 
     def forward(self, x, train=False, cache=None):
         if cache is None:
@@ -217,7 +223,7 @@ class GRU(_Recurrent):
     def _infer(self, x):
         b, t, _ = x.shape
         u = self.units
-        wh, xw = self._inference_terms(x, slice(None), 2 * u)
+        wh, xw = self._inference_terms(x)
         wh_zr, wh_n = wh[:, : 2 * u], wh[:, 2 * u :]
         h = np.zeros((b, u))
         hs = np.empty((b, t, u)) if self.return_sequences else None

@@ -61,10 +61,12 @@ def walk(specs: Sequence[NodeSpec], shapes: dict,
     return nodes
 
 
-def drop_plan(nodes: dict[str, NodeSpec], keep: str) -> dict[str, tuple[str, ...]]:
-    """For each node, the values to drop from ``values`` once it has run.
+def forward_plan(nodes: dict[str, NodeSpec], keep: str) -> tuple[tuple, ...]:
+    """One ``(name, layer, inputs, multi, dead)`` record per node, in order.
 
-    A value (a node output or a graph input) is dropped after its last
+    ``multi`` says whether the layer takes its inputs as a list, and
+    ``dead`` names the values to drop from ``values`` once the node has run:
+    a value (a node output or a graph input) is dropped after its last
     reader, and a node output that nothing reads right after it is made;
     ``keep``, the output, never is.  Build the plan once with the node list.
     """
@@ -73,31 +75,32 @@ def drop_plan(nodes: dict[str, NodeSpec], keep: str) -> dict[str, tuple[str, ...
         last[name] = name
         for ref in node.inputs:
             last[ref] = name
-    plan: dict[str, tuple[str, ...]] = {name: () for name in nodes}
+    dead: dict[str, tuple[str, ...]] = {name: () for name in nodes}
     for value, reader in last.items():
         if value != keep:
-            plan[reader] += (value,)
-    return plan
+            dead[reader] += (value,)
+    return tuple((name, node.layer, tuple(node.inputs), node.layer.n_inputs > 1, dead[name])
+                 for name, node in nodes.items())
 
 
-def forward_nodes(nodes: dict[str, NodeSpec], drops: dict[str, tuple[str, ...]],
-                  values: dict, train: bool, caches: Optional[dict] = None):
-    """Evaluate ``nodes`` in order into ``values``, which holds the graph inputs.
+def forward_nodes(plan: tuple[tuple, ...], values: dict, train: bool,
+                  caches: Optional[dict] = None):
+    """Evaluate the nodes of ``plan`` (from :func:`forward_plan`) into ``values``,
+    which holds the graph inputs.
 
-    Values are dropped as ``drops`` (from :func:`drop_plan`) says, so on
-    return ``values`` holds the kept output and no dead arrays.  With a
-    ``caches`` dict, each node's backward cache is kept under its name; it
-    holds whatever backward needs, so dropping is safe in training too.
+    Values are dropped as the plan says, so on return ``values`` holds the
+    kept output and no dead arrays.  With a ``caches`` dict, each node's
+    backward cache is kept under its name; it holds whatever backward needs,
+    so dropping is safe in training too.
     """
-    for name, node in nodes.items():
-        xs = [values[i] for i in node.inputs]
+    for name, layer, inputs, multi, dead in plan:
         cache = None
         if caches is not None:
             cache = caches[name] = {}
-        values[name] = node.layer.forward(xs if node.layer.n_inputs > 1 else xs[0],
-                                          train, cache)
-        for dead in drops[name]:
-            del values[dead]
+        values[name] = layer.forward([values[i] for i in inputs] if multi else values[inputs[0]],
+                                     train, cache)
+        for value in dead:
+            del values[value]
 
 
 def backward_nodes(nodes: dict[str, NodeSpec], caches: dict, upstream: dict,
@@ -151,7 +154,7 @@ class Subgraph(Layer):
         super().__init__()
         self._specs = list(nodes)
         self.nodes: dict[str, NodeSpec] = {}
-        self._drops: dict[str, tuple[str, ...]] = {}
+        self._plan: tuple[tuple, ...] = ()
 
     def _nodes(self, in_shape) -> list[NodeSpec]:
         return self._specs
@@ -173,13 +176,13 @@ class Subgraph(Layer):
 
     def _build(self, in_shapes, rng):
         self.nodes = self._walk(in_shapes[0], itertools.repeat(rng))[0]
-        self._drops = drop_plan(self.nodes, next(reversed(self.nodes)))
+        self._plan = forward_plan(self.nodes, next(reversed(self.nodes)))
         self.params = manifest(self.nodes, "params", self._key)
         self.buffers = manifest(self.nodes, "buffers", self._key)
 
     def forward(self, x, train=False, cache=None):
         values = {INPUT: x}
-        forward_nodes(self.nodes, self._drops, values, train, cache)
+        forward_nodes(self._plan, values, train, cache)
         return values[next(reversed(self.nodes))]
 
     def backward(self, upstream, cache):

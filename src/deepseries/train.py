@@ -165,12 +165,6 @@ class History:
         ]
 
 
-def _batches(n: int, batch_size: int, order: Optional[np.ndarray] = None):
-    idx = np.arange(n) if order is None else order
-    for start in range(0, n, batch_size):
-        yield idx[start : start + batch_size]
-
-
 def _model_inputs(model: Model, inputs: np.ndarray):
     """Single-input datasets feed every entry of a multi-input graph."""
     k = len(model.input_names)
@@ -180,15 +174,16 @@ def _model_inputs(model: Model, inputs: np.ndarray):
 def predict(model: Model, inputs, batch_size: int = 256) -> np.ndarray:
     """Evaluation-mode forward over a whole input array, batched.
 
-    Zero rows of the right per-sample shape give an empty
+    Each batch is a slice of ``inputs``, not a copy; the result is a new
+    array that shares no memory with ``inputs``.  Zero rows of the right per-sample shape give an empty
     ``[0, *output_shape]`` array.  ``batch_size`` must be >= 1.
     """
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     xs = as_array(inputs)
     outs = [
-        model.forward(_model_inputs(model, xs[sel]), train=False).array
-        for sel in _batches(xs.shape[0], batch_size)
+        model.forward(_model_inputs(model, xs[start : start + batch_size]), train=False).array
+        for start in range(0, xs.shape[0], batch_size)
     ]
     if not outs:  # nothing to run; still reject a wrong per-sample shape
         model._coerce_inputs(_model_inputs(model, xs))
@@ -226,7 +221,8 @@ def fit(model: Model, train_set, val_set, config: TrainConfig,
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
         total = 0.0
-        for sel in _batches(n, config.batch_size, order):
+        for start in range(0, n, config.batch_size):
+            sel = order[start : start + config.batch_size]
             pred = model.forward(_model_inputs(model, xs[sel]), train=True)
             val, grad = loss_and_grad(config.loss, pred.array, ys[sel])
             if not np.isfinite(val):

@@ -333,6 +333,23 @@ def test_eval_reproduces_training_metric(tmp_path, capsys):
     assert out.splitlines()[0] == trained
 
 
+def test_eval_writes_metrics_where_out_is_given(tmp_path, capsys, monkeypatch):
+    # a config-file out was ignored: eval exited 0 and made no directory
+    monkeypatch.chdir(tmp_path)
+    run_cli(FAST_FORECAST + ["--out", "trained"], capsys)
+    metric = (tmp_path / "trained" / "metrics.txt").read_text().splitlines()[:1]
+    base = ["eval", "--task", "forecast", "--model", "ExampleModel",
+            "--synth", "sine:length=600", "--window", "40", "--horizon", "5",
+            "--weights", "trained/weights.dsw"]
+    (tmp_path / "e.cfg").write_text("out = from_config\n")
+    assert run_cli(base, capsys)[0] == 0
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["trained"]
+    assert run_cli(base + ["--config", "e.cfg"], capsys)[0] == 0
+    assert (tmp_path / "from_config" / "metrics.txt").read_text().splitlines() == metric
+    assert run_cli(base + ["--out", "from_flag"], capsys)[0] == 0
+    assert (tmp_path / "from_flag" / "metrics.txt").read_text().splitlines() == metric
+
+
 def test_eval_rejects_mismatched_model(tmp_path, capsys):
     out_dir = tmp_path / "run"
     run_cli(FAST_FORECAST + ["--out", str(out_dir)], capsys)

@@ -115,25 +115,63 @@ def test_assigned_attributes_are_read():
     assert [f"{where} {attr}" for attr, where in assigned if attr not in read] == []
 
 
-def writable_strided_views(path: Path) -> list[str]:
-    """``file:line`` for each ``as_strided`` call without ``writeable=False``."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def _calls(source: str):
+    """``(call, name)`` for each call in ``source``, named by its last attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield node, func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def writable_strided_views(source: str) -> list[int]:
+    """Lines of each raw-stride view that can be written through: an
+    ``as_strided`` call without ``writeable=False``, or an ``ndarray`` made on
+    a buffer other than a ``.toreadonly()`` memoryview."""
     found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
+    for node, name in _calls(source):
+        keywords = {k.arg: k.value for k in node.keywords}
+        if name == "as_strided":
+            flag = keywords.get("writeable")
+            safe = isinstance(flag, ast.Constant) and flag.value is False
+        elif name == "ndarray" and ("buffer" in keywords or len(node.args) > 2):
+            buf = keywords.get("buffer") or node.args[2]
+            safe = isinstance(buf, ast.Call) and getattr(buf.func, "attr", None) == "toreadonly"
+        else:
             continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name != "as_strided":
-            continue
-        flags = [k.value for k in node.keywords if k.arg == "writeable"]
-        if not (flags and isinstance(flags[0], ast.Constant) and flags[0].value is False):
-            found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        if not safe:
+            found.append(node.lineno)
     return found
 
 
 def test_strided_views_are_read_only():
     # a window view aliases each input element many times, so a write through
     # it would change every window that shares the element
-    found = [entry for p in sorted(SRC.rglob("*.py")) for entry in writable_strided_views(p)]
+    found = [f"{p.relative_to(SRC)}:{line}" for p in sorted(SRC.rglob("*.py"))
+             for line in writable_strided_views(p.read_text(encoding="utf-8"))]
     assert found == []
+    assert writable_strided_views(
+        "as_strided(x, s, t)\n"
+        "as_strided(x, s, t, writeable=False)\n"
+        "np.ndarray(s, buffer=x, strides=t)\n"
+        "np.ndarray(s, float, x, 0, t)\n"
+        "np.ndarray(s, buffer=memoryview(x).toreadonly(), strides=t)\n"
+        "np.ndarray(s)\n") == [1, 3, 4]
+
+
+def per_call_rebuilds(source: str) -> list[int]:
+    """Lines that use ``np.pad`` or ``np.r_``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ("pad", "r_")
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+
+
+def test_layers_use_neither_np_pad_nor_np_r():
+    # each rebuilds on every call what does not depend on the input: np.pad
+    # its pad widths and fill, np.r_ its index array (13-40 us at batch 1 on
+    # a 2-vCPU x86 host); zero the pad steps and copy the input in, or fix
+    # the index when the layer is built
+    found = [f"{p.relative_to(SRC)}:{line}"
+             for p in sorted((SRC / "deepseries" / "layers").glob("*.py"))
+             for line in per_call_rebuilds(p.read_text(encoding="utf-8"))]
+    assert found == []
+    assert per_call_rebuilds("np.pad(x, 1)\nnp.r_[:2, 3]\nx.pad\n") == [1, 2]

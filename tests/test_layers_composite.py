@@ -123,10 +123,14 @@ def test_multiply_broadcasts_size_one_axes():
 
 def test_pad_time_and_reverse_time():
     x = np.arange(12.0).reshape(1, 3, 4)
-    padded = np.asarray(single_node_model(PadTime(5), (3, 4)).forward(x).array)
-    assert padded.shape == (1, 5, 4)
-    np.testing.assert_array_equal(padded[:, :3], x)
-    assert not padded[:, 3:].any()
+    read_only = x.copy()
+    read_only.setflags(write=False)
+    pad = single_node_model(PadTime(5), (3, 4))
+    for given in (x, np.asfortranarray(x), read_only):
+        padded = np.asarray(pad.forward(given).array)
+        assert padded.shape == (1, 5, 4)
+        np.testing.assert_array_equal(padded[:, :3], x)
+        assert not padded[:, 3:].any()
     with pytest.raises(ShapeError):
         PadTime(2).out_shape([(3, 4)])
     rev = np.asarray(single_node_model(ReverseTime(), (3, 4)).forward(x).array)

@@ -17,7 +17,7 @@ from deepseries.errors import (
     TrainingDivergedError,
 )
 from deepseries.graph import GraphBuilder
-from deepseries.layers import Dense
+from deepseries.layers import Dense, Reshape
 from deepseries.layers.base import activation_pair
 from deepseries.train import (
     Adam,
@@ -33,6 +33,7 @@ from deepseries.train import (
     predict,
     two_phase_autoencoder_fit,
 )
+from conftest import single_node_model
 
 # ---------------------------------------------------------------------- losses
 
@@ -364,6 +365,18 @@ def test_predict_matches_batched_forward():
     xs = np.random.default_rng(0).normal(size=(10, 3))
     whole = np.asarray(m.forward(xs).array)
     np.testing.assert_array_equal(predict(m, xs, batch_size=3), whole)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7])
+@pytest.mark.parametrize("model", ["dense", "reshape"])
+def test_predict_output_never_shares_the_callers_input(model, batch_size):
+    # predict batches by slices, so each batch is a view of the input, and a
+    # reshape-only model's output is a view of that batch
+    m = dense_model() if model == "dense" else single_node_model(Reshape((3, 1)), (3,))
+    xs = np.random.default_rng(0).normal(size=(5, 3))
+    out = predict(m, xs, batch_size=batch_size)
+    assert not np.shares_memory(out, xs)
+    np.testing.assert_allclose(out, np.asarray(m.forward(xs).array), rtol=1e-12)
 
 
 def test_predict_on_zero_rows_returns_an_empty_output():

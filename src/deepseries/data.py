@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataError,
@@ -86,14 +87,14 @@ def smooth(series, window: int, iterations: int = 1) -> Tensor:
 def zscore(segment) -> Tensor:
     """Normalise each column to mean 0 and sample standard deviation 1."""
     a = _series(segment)
-    if a.shape[0] < 2:
+    n = a.shape[0]
+    if n < 2:
         raise DataError("zscore needs at least two steps")
-    mean = a.mean(axis=0)
-    std = a.std(axis=0, ddof=1)
-    if np.any(std == 0.0):
-        col = int(np.argmax(std == 0.0))
-        raise DegenerateSegmentError(f"column {col} is constant; zscore undefined")
-    return Tensor((a - mean) / std)
+    dev = a - np.add.reduce(a, axis=0) / n  # a.mean(0), a.std(0, ddof=1) bit for bit
+    std = np.sqrt(np.add.reduce(dev * dev, axis=0) / (n - 1))
+    if (std == 0.0).any():
+        raise DegenerateSegmentError(f"column {np.argmax(std == 0.0)} is constant; zscore undefined")
+    return Tensor(dev / std)
 
 
 def _split_sizes(n: int, fractions: Sequence[float], what: str) -> tuple[int, int]:
@@ -134,10 +135,10 @@ def windowize(series, window: int, horizon: int, stride: int = 1) -> SeriesDatas
         raise DataError(
             f"series of {n} steps is shorter than window {window} + horizon {horizon}"
         )
-    starts = np.arange(0, n - window - horizon + 1, stride)
-    inputs = np.stack([a[s : s + window] for s in starts])
-    targets = np.stack([a[s + window : s + window + horizon] for s in starts])
-    return SeriesDataset(inputs, targets)
+    # views of C-ordered rows (ravel copies any other layout); SeriesDataset copies once
+    blocks = sliding_window_view(a.ravel().reshape(a.shape), window + horizon, axis=0)
+    blocks = blocks[::stride].transpose(0, 2, 1)
+    return SeriesDataset(blocks[:, :window], blocks[:, window:])
 
 
 def pad_or_truncate(segment, length: int) -> Tensor:
@@ -182,12 +183,11 @@ def anomaly_windows(series, labels, window: int, horizon: int, stride: int = 1):
         raise ShapeError("labels must align with the series steps")
     if not ((y == 0) | (y == 1)).all():
         raise DataError("anomaly labels must be 0 or 1")
-    y = y == 1
     ds = windowize(a, window, horizon, stride)
-    starts = np.arange(0, a.shape[0] - window - horizon + 1, stride)
-    tgt = np.array([y[s + window : s + window + horizon].any() for s in starts])
-    clean = np.array([not y[s : s + window + horizon].any() for s in starts])
-    return ds, tgt, clean
+    seen = np.concatenate(([0], np.cumsum(y == 1)))  # anomalies before each step
+    s = np.arange(0, a.shape[0] - window - horizon + 1, stride)
+    end = seen[s + window + horizon]
+    return ds, end > seen[s + window], end == seen[s]
 
 
 def anomaly_harness(model: Model, windows: SeriesDataset, true_labels, top_k: int):

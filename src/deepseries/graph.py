@@ -72,12 +72,12 @@ class Model:
     # -- execution -----------------------------------------------------------
 
     def _coerce_inputs(self, x) -> dict[str, np.ndarray]:
-        if isinstance(x, dict):
-            arrays = {k: as_array(v) for k, v in x.items()}
-        elif isinstance(x, (list, tuple)):
-            arrays = {n: as_array(v) for n, v in zip(self.input_names, x)}
-        else:
-            arrays = {self.input_names[0]: as_array(x)}
+        if isinstance(x, (list, tuple)):
+            if len(x) != len(self.input_names):
+                raise ShapeError(f"model has {len(self.input_names)} inputs, got {len(x)}")
+            x = dict(zip(self.input_names, x))
+        arrays = ({k: as_array(v) for k, v in x.items()} if isinstance(x, dict)
+                  else {self.input_names[0]: as_array(x)})
         if arrays.keys() != self.input_shapes.keys():
             raise ShapeError(
                 f"model needs inputs {self.input_names}, got {sorted(arrays)}"

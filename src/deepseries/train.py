@@ -35,12 +35,12 @@ def loss_and_grad(kind: str, prediction, target) -> tuple[float, np.ndarray]:
         raise ShapeError(f"prediction {p.shape} and target {t.shape} differ")
     if p.size == 0:
         raise DataError(f"{kind} loss of an empty batch (prediction {p.shape})")
-    if kind == "mse":
-        d = p - t
-        return float((d * d).mean()), (2.0 / d.size) * d
-    if kind == "mae":
-        d = p - t
-        return float(np.abs(d).mean()), np.sign(d) / d.size
+    if kind in ("mse", "mae"):
+        with np.errstate(over="ignore"):  # an infinite loss is fit's divergence signal
+            d = p - t
+            if kind == "mse":
+                return float((d * d).mean()), (2.0 / d.size) * d
+            return float(np.abs(d).mean()), np.sign(d) / d.size
     if kind == "cross_entropy":
         if p.ndim != 2:
             raise ShapeError(f"cross_entropy expects [batch, classes], got {p.shape}")

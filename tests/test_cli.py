@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -617,6 +618,23 @@ def test_divergence_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "diverged at epoch" in err
+
+
+def test_overflowing_loss_exits_3_with_only_the_error_line(tmp_path, capsys):
+    # values near 1e200 overflow the squared error: the run must say it
+    # diverged, and say nothing else on stderr
+    path = tmp_path / "huge.csv"
+    values = np.sin(np.arange(400) / 7) * 1e200
+    path.write_text("v\n" + "".join(f"{float(x)!r}\n" for x in values))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(
+            ["train", "--task", "forecast", "--model", "ExampleModel", "--csv", str(path),
+             "--window", "20", "--horizon", "2", "--epochs", "1",
+             "--out", str(tmp_path / "x")], capsys)
+    assert code == 3
+    assert err == "error: training diverged at epoch 0\n"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_data_problems_exit_4(tmp_path, capsys):

@@ -32,6 +32,15 @@ from deepseries.tensor import Tensor
 
 # ---------------------------------------------------------------- preprocessing
 
+# the same values in four memory layouts: time-reversed and column-slice
+# series have negative and non-unit strides
+_LAYOUTS = {
+    "C": lambda a: a,
+    "fortran": np.asfortranarray,
+    "reversed": lambda a: np.ascontiguousarray(a[::-1])[::-1],
+    "column_slice": lambda a: np.repeat(a, 2, axis=1)[:, 1::2],
+}
+
 
 def smooth_oracle(series, window, iterations):
     a = np.asarray(series, dtype=float).copy()
@@ -89,6 +98,16 @@ def test_zscore_degenerate_and_short():
         zscore([1.0])
 
 
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_zscore_is_bytewise_the_textbook_formula(layout):
+    rng = np.random.default_rng(3)
+    for shape, scale in [((30, 3), 5.0), ((128, 2), 1e-3), ((7, 4), 1e6)]:
+        a = _LAYOUTS[layout](rng.normal(2.0, scale, size=shape))
+        want = (a - a.mean(0)) / a.std(0, ddof=1)
+        got = zscore(a).array
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_chrono_split_contiguous_and_remainder_to_test():
     series = np.arange(10.0)
     tr, va, te = chrono_split(series)
@@ -138,6 +157,30 @@ def test_windowize_stride_and_counts():
         windowize(np.arange(4.0), 3, 2)
     with pytest.raises(ParameterError):
         windowize(np.arange(10.0), 0, 1)
+
+
+def windowize_reference(a, window, horizon, stride):
+    """Input and target stacks built from one slice per window."""
+    starts = np.arange(0, a.shape[0] - window - horizon + 1, stride)
+    inputs = np.stack([a[s : s + window] for s in starts])
+    targets = np.stack([a[s + window : s + window + horizon] for s in starts])
+    return inputs, targets
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("stride", [1, 3, 7])
+def test_windowize_matches_the_per_window_reference(stride, columns, layout):
+    window, horizon = 5, 2
+    rng = np.random.default_rng(stride * 10 + columns)
+    for steps in (40, window + horizon):
+        series = _LAYOUTS[layout](rng.normal(size=(steps, columns)))
+        ds = windowize(series, window, horizon, stride)
+        for got, want in zip((ds.inputs.array, ds.targets.array),
+                             windowize_reference(series, window, horizon, stride)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert not np.shares_memory(got, series)
 
 
 def test_pad_or_truncate():
@@ -205,6 +248,38 @@ def test_anomaly_windows_accepts_boolean_labels():
     _, tgt, clean = anomaly_windows(np.arange(8.0), labels, window=3, horizon=1)
     np.testing.assert_array_equal(tgt, [True, False, False, False, False])
     np.testing.assert_array_equal(clean, [False, False, False, False, True])
+
+
+def anomaly_flags_reference(labels, window, horizon, stride):
+    """Target-anomalous and clean flags computed one window at a time."""
+    y = labels == 1
+    starts = np.arange(0, y.shape[0] - window - horizon + 1, stride)
+    tgt = np.array([y[s + window : s + window + horizon].any() for s in starts])
+    clean = np.array([not y[s : s + window + horizon].any() for s in starts])
+    return tgt, clean
+
+
+# window 5 and horizon 2 over 40 steps: steps 4-7 sit on the first window's
+# input/target boundaries, 20-21 on later ones for every stride
+_ANOMALY_STEPS = {"none": [], "first": [0], "last": [39],
+                  "boundaries": [4, 5, 6, 7, 20, 21], "all": list(range(40))}
+
+
+@pytest.mark.parametrize("dtype", [bool, int, float])
+@pytest.mark.parametrize("steps", sorted(_ANOMALY_STEPS))
+@pytest.mark.parametrize("stride", [1, 3, 7])
+def test_anomaly_windows_match_the_per_window_reference(stride, steps, dtype):
+    window, horizon = 5, 2
+    series = np.random.default_rng(stride).normal(size=(40, 3))
+    labels = np.zeros(40, dtype=dtype)
+    labels[_ANOMALY_STEPS[steps]] = 1
+    ds, tgt, clean = anomaly_windows(series, labels, window, horizon, stride)
+    for got, want in zip((ds.inputs.array, ds.targets.array),
+                         windowize_reference(series, window, horizon, stride)):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip((tgt, clean), anomaly_flags_reference(labels, window, horizon, stride)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 class _ZeroModel:

@@ -156,6 +156,19 @@ def test_wrong_input_name_and_shape_raise():
         m.forward(np.zeros((8, 2)))  # missing batch axis
 
 
+def test_input_sequence_of_the_wrong_length_raises():
+    # a surplus element must not be dropped silently; name the two counts
+    m = tiny_model()
+    x = np.zeros((3, 8, 2))
+    for given in ([x, x], (x, x, x), []):
+        with pytest.raises(ShapeError, match=f"model has 1 inputs, got {len(given)}$"):
+            m.forward(given)
+    b = GraphBuilder()
+    b.add("cat", Concat(2), [b.input("p", (4, 1)), b.input("q", (4, 1))])
+    with pytest.raises(ShapeError, match="model has 2 inputs, got 1$"):
+        b.build(output="cat").forward([np.zeros((2, 4, 1))])
+
+
 def test_backward_without_training_forward_raises():
     m = tiny_model()
     with pytest.raises(StateError, match="training-mode forward"):
@@ -480,6 +493,30 @@ def test_bad_magic_and_truncation_rejected():
         m.load_weights(io.BytesIO(b"???????" + blob[7:]))
     with pytest.raises(FormatError, match="truncated"):
         m.load_weights(io.BytesIO(blob[:5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_flipped_bits_and_truncations_raise_only_format_error(data):
+    # a file damaged on disk must read as a format problem (CLI exit 5),
+    # never as a struct, Unicode or numpy error from the bytes after it
+    m = tiny_model(seed=3)
+    buf = io.BytesIO()
+    m.save_weights(buf)
+    blob = buf.getvalue()
+    if data.draw(st.booleans(), label="truncate"):
+        bad = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        bits = data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1,
+                                  max_size=3, unique=True), label="bits")
+        bad = bytearray(blob)
+        for bit in bits:
+            bad[bit // 8] ^= 1 << (bit % 8)
+    before = {k: v.copy() for k, v in m.state().items()}
+    with pytest.raises(FormatError):
+        m.load_weights(io.BytesIO(bytes(bad)))
+    for k, v in m.state().items():
+        np.testing.assert_array_equal(v, before[k])
 
 
 def test_load_rejects_non_finite_values_and_leaves_the_model_unchanged():

@@ -125,14 +125,17 @@ def _calls(source: str):
 
 def writable_strided_views(source: str) -> list[int]:
     """Lines of each raw-stride view that can be written through: an
-    ``as_strided`` call without ``writeable=False``, or an ``ndarray`` made on
-    a buffer other than a ``.toreadonly()`` memoryview."""
+    ``as_strided`` call without ``writeable=False``, a ``sliding_window_view``
+    call whose ``writeable`` is given as anything but ``False`` (it defaults
+    to read-only), or an ``ndarray`` made on a buffer other than a
+    ``.toreadonly()`` memoryview."""
     found = []
     for node, name in _calls(source):
         keywords = {k.arg: k.value for k in node.keywords}
-        if name == "as_strided":
+        if name in ("as_strided", "sliding_window_view"):
             flag = keywords.get("writeable")
-            safe = isinstance(flag, ast.Constant) and flag.value is False
+            safe = ((flag is None and name == "sliding_window_view")
+                    or (isinstance(flag, ast.Constant) and flag.value is False))
         elif name == "ndarray" and ("buffer" in keywords or len(node.args) > 2):
             buf = keywords.get("buffer") or node.args[2]
             safe = isinstance(buf, ast.Call) and getattr(buf.func, "attr", None) == "toreadonly"
@@ -155,7 +158,11 @@ def test_strided_views_are_read_only():
         "np.ndarray(s, buffer=x, strides=t)\n"
         "np.ndarray(s, float, x, 0, t)\n"
         "np.ndarray(s, buffer=memoryview(x).toreadonly(), strides=t)\n"
-        "np.ndarray(s)\n") == [1, 3, 4]
+        "np.ndarray(s)\n"
+        "sliding_window_view(x, 3, axis=0)\n"
+        "sliding_window_view(x, 3, writeable=False)\n"
+        "np.lib.stride_tricks.sliding_window_view(x, 3, writeable=True)\n"
+        "sliding_window_view(x, 3, writeable=flag)\n") == [1, 3, 4, 9, 10]
 
 
 def per_call_rebuilds(source: str) -> list[int]:

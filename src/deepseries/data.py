@@ -68,7 +68,9 @@ def smooth(series, window: int, iterations: int = 1) -> Tensor:
     """Trailing moving average, applied ``iterations`` times.
 
     Each output step averages the last ``window`` values; the first steps
-    average what exists so far, so the length never changes.
+    average what exists so far, so the length never changes.  A result that
+    is not finite, as when the running sum of values near 1e308 overflows,
+    raises DataError.
     """
     if window < 1 or iterations < 0:
         raise ParameterError("window must be >= 1 and iterations >= 0")
@@ -76,11 +78,16 @@ def smooth(series, window: int, iterations: int = 1) -> Tensor:
     if a.shape[0] < 1:
         raise DataError("cannot smooth an empty series")
     counts = np.minimum(np.arange(1, a.shape[0] + 1), window)[:, None]
-    for _ in range(iterations):
-        cs = np.cumsum(a, axis=0)
-        tail = np.zeros_like(a)
-        tail[window:] = cs[:-window]
-        a = (cs - tail) / counts
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+        for _ in range(iterations):
+            cs = np.cumsum(a, axis=0)
+            tail = np.zeros_like(a)
+            tail[window:] = cs[:-window]
+            a = (cs - tail) / counts
+    bad = ~np.isfinite(a).all(axis=0)
+    if bad.any():
+        raise DataError(f"smoothing column {bad.argmax()} gave a non-finite value; the "
+                        "series must be finite and small enough for its running sum")
     return Tensor(a)
 
 

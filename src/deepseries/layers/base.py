@@ -103,7 +103,9 @@ class Layer:
 
     Subclasses implement ``out_shape`` (static inference on per-sample shapes,
     batch axis excluded), ``_build`` (materialise parameters once input shapes
-    are known), ``forward`` and ``backward``.  ``backward`` returns
+    are known), ``forward`` and ``backward``.  The node walk checks that a
+    node has ``n_inputs`` inputs before ``out_shape`` runs, so ``out_shape``
+    checks only their shapes.  ``backward`` returns
     ``(input_gradients, parameter_gradients)`` where the first entry matches
     the structure of the forward inputs.
     """
@@ -121,9 +123,9 @@ class Layer:
         raise NotImplementedError
 
     def _series(self, in_shapes) -> tuple[int, ...]:
-        """The one ``[time, channels]`` input shape; ShapeError otherwise."""
-        if len(in_shapes) != 1 or len(in_shapes[0]) != 2:
-            raise ShapeError(f"{self.kind} expects one [time, channels] input, got {in_shapes}")
+        """The ``[time, channels]`` input shape; ShapeError otherwise."""
+        if len(in_shapes[0]) != 2:
+            raise ShapeError(f"{self.kind} expects a [time, channels] input, got {in_shapes}")
         return in_shapes[0]
 
     def _build(self, in_shapes: list[tuple[int, ...]], rng: np.random.Generator):

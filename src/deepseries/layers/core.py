@@ -215,9 +215,9 @@ class Dense(Layer):
         self._act, self._act_grad = activation_pair(activation)
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1 or len(in_shapes[0]) not in (1, 2):
+        if len(in_shapes[0]) not in (1, 2):
             raise ShapeError(
-                f"dense expects one [features] or [time, features] input, got {in_shapes}"
+                f"dense expects a [features] or [time, features] input, got {in_shapes}"
             )
         return in_shapes[0][:-1] + (self.units,)
 
@@ -255,8 +255,8 @@ class BatchNorm1D(Layer):
     epsilon = 1e-3
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1 or len(in_shapes[0]) not in (1, 2):
-            raise ShapeError(f"batchnorm expects one rank-1/2 input, got {in_shapes}")
+        if len(in_shapes[0]) not in (1, 2):
+            raise ShapeError(f"batchnorm expects a rank-1/2 input, got {in_shapes}")
         return in_shapes[0]
 
     def _build(self, in_shapes, rng):
@@ -330,8 +330,6 @@ class Dropout(Layer):
         self._rng = np.random.default_rng(self.seed)
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1:
-            raise ShapeError("dropout expects one input")
         return in_shapes[0]
 
     def forward(self, x, train=False, cache=None):
@@ -362,8 +360,6 @@ class ActivationLayer(Layer):
         self._act, self._act_grad = activation_pair(activation)
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1:
-            raise ShapeError("activation expects one input")
         return in_shapes[0]
 
     def forward(self, x, train=False, cache=None):
@@ -382,8 +378,6 @@ class Flatten(Layer):
     kind = "flatten"
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1:
-            raise ShapeError("flatten expects one input")
         return (int(np.prod(in_shapes[0], dtype=np.int64)),)
 
     def forward(self, x, train=False, cache=None):
@@ -408,8 +402,6 @@ class Reshape(Layer):
             raise ParameterError(f"reshape target must be positive, got {self.target}")
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 1:
-            raise ShapeError("reshape expects one input")
         have = int(np.prod(in_shapes[0], dtype=np.int64))
         want = int(np.prod(self.target, dtype=np.int64))
         if have != want:
@@ -437,8 +429,6 @@ class Add(Layer):
         self.n_inputs = int(n_inputs)
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != self.n_inputs:
-            raise ShapeError(f"add expects {self.n_inputs} inputs, got {len(in_shapes)}")
         if any(s != in_shapes[0] for s in in_shapes[1:]):
             raise ShapeError(f"add inputs must share a shape, got {in_shapes}")
         return in_shapes[0]
@@ -465,8 +455,6 @@ class Concat(Layer):
         self.n_inputs = int(n_inputs)
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != self.n_inputs:
-            raise ShapeError(f"concat expects {self.n_inputs} inputs, got {len(in_shapes)}")
         if not all(in_shapes) or any(s[:-1] != in_shapes[0][:-1] for s in in_shapes):
             raise ShapeError(f"concat inputs must differ only in the last axis, got {in_shapes}")
         return in_shapes[0][:-1] + (sum(s[-1] for s in in_shapes),)
@@ -512,7 +500,7 @@ class Multiply(Layer):
     n_inputs = 2
 
     def out_shape(self, in_shapes):
-        if len(in_shapes) != 2 or len(in_shapes[0]) != len(in_shapes[1]) \
+        if len(in_shapes[0]) != len(in_shapes[1]) \
                 or any(p != q and 1 not in (p, q) for p, q in zip(*in_shapes)):
             raise ShapeError(f"multiply expects two inputs that broadcast, got {in_shapes}")
         return tuple(max(p, q) for p, q in zip(*in_shapes))

@@ -28,14 +28,6 @@ class _Recurrent(Layer):
         t, _ = self._series(in_shapes)
         return (t, self.units) if self.return_sequences else (self.units,)
 
-    def _spread(self, upstream, batch, time):
-        """Upstream laid out per step; non-sequence output touches only the last step."""
-        if self.return_sequences:
-            return upstream
-        per_step = np.zeros((batch, time, self.units))
-        per_step[:, -1] = upstream
-        return per_step
-
     def _inference_terms(self, x):
         """``wh`` and the input term ``x @ wx + b`` in the inference gate layout.
 
@@ -139,16 +131,16 @@ class LSTM(_Recurrent):
         b, t, ch = x.shape
         u = self.units
         wx, wh = self.params["wx"], self.params["wh"]
-        up = self._spread(upstream, b, t)
+        seq = self.return_sequences
         dwx = np.zeros_like(wx)
         dwh = np.zeros_like(wh)
         db = np.zeros(4 * u)
         dx = np.empty_like(x)
-        dh_next = np.zeros((b, u))
+        dh_next = np.zeros((b, u)) if seq else upstream  # only the last h is output
         dc_next = np.zeros((b, u))
         for ti in range(t - 1, -1, -1):
             h_prev, c_prev, i, f, g, o, tc = steps[ti]
-            dh = dh_next + up[:, ti]
+            dh = dh_next + upstream[:, ti] if seq else dh_next
             do = dh * tc
             dc = dc_next + dh * o * (1.0 - tc * tc)
             di = dc * g
@@ -246,15 +238,15 @@ class GRU(_Recurrent):
         b, t, ch = x.shape
         u = self.units
         wx, wh = self.params["wx"], self.params["wh"]
-        up = self._spread(upstream, b, t)
+        seq = self.return_sequences
         dwx = np.zeros_like(wx)
         dwh = np.zeros_like(wh)
         db = np.zeros(3 * u)
         dx = np.empty_like(x)
-        dh_next = np.zeros((b, u))
+        dh_next = np.zeros((b, u)) if seq else upstream  # only the last h is output
         for ti in range(t - 1, -1, -1):
             h_prev, z, r, n, rh = steps[ti]
-            dh = dh_next + up[:, ti]
+            dh = dh_next + upstream[:, ti] if seq else dh_next
             dz_gate = dh * (n - h_prev)
             dn = dh * z
             dh_prev = dh * (1.0 - z)

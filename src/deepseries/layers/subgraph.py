@@ -32,9 +32,10 @@ def walk(specs: Sequence[NodeSpec], shapes: dict,
     """Check a node list in declaration order; return it as an ordered dict.
 
     ``shapes`` holds the graph inputs' per-sample shapes; each node's output
-    shape is added as it is reached.  Every node needs a new name and at
-    least one input, and reads graph inputs or earlier nodes.  With ``rngs``,
-    each layer is bound from the next generator.
+    shape is added as it is reached.  Every node needs a new name and
+    ``layer.n_inputs`` inputs, and reads graph inputs or earlier nodes, so a
+    layer's ``out_shape`` sees the input count it takes.  With ``rngs``, each
+    layer is bound from the next generator.
     """
     declared = {spec.name for spec in specs}
     nodes: dict[str, NodeSpec] = {}
@@ -51,6 +52,9 @@ def walk(specs: Sequence[NodeSpec], shapes: dict,
                     f"node {spec.name!r} reads {ref!r}, which is declared after it: "
                     f"nodes must follow their inputs, so a cycle cannot be declared")
             raise GraphError(f"node {spec.name!r} references unknown node {ref!r}")
+        if len(spec.inputs) != spec.layer.n_inputs:
+            raise ShapeError(f"node {spec.name!r}: {spec.layer.kind} takes "
+                             f"{spec.layer.n_inputs} inputs, got {len(spec.inputs)}")
         ins = [shapes[r] for r in spec.inputs]
         try:
             shapes[spec.name] = (spec.layer.out_shape(ins) if rngs is None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -175,7 +175,8 @@ def predict(model: Model, inputs, batch_size: int = 256) -> np.ndarray:
     """Evaluation-mode forward over a whole input array, batched.
 
     Each batch is a slice of ``inputs``, not a copy; the result is a new
-    array that shares no memory with ``inputs``.  Zero rows of the right per-sample shape give an empty
+    array that shares no memory with ``inputs``.  Zero rows run as one empty
+    batch, which checks their per-sample shape and gives an empty
     ``[0, *output_shape]`` array.  ``batch_size`` must be >= 1.
     """
     if batch_size < 1:
@@ -183,11 +184,8 @@ def predict(model: Model, inputs, batch_size: int = 256) -> np.ndarray:
     xs = as_array(inputs)
     outs = [
         model.forward(_model_inputs(model, xs[start : start + batch_size]), train=False).array
-        for start in range(0, xs.shape[0], batch_size)
+        for start in range(0, max(xs.shape[0], 1), batch_size)
     ]
-    if not outs:  # nothing to run; still reject a wrong per-sample shape
-        model._coerce_inputs(_model_inputs(model, xs))
-        return np.empty((0, *model.output_shape))
     return np.concatenate(outs, axis=0)
 
 
@@ -216,7 +214,6 @@ def fit(model: Model, train_set, val_set, config: TrainConfig,
     opt = Adam(model.parameters(), config.lr, frozen=frozen)
     stopper = EarlyStopping(config.patience, config.min_delta)
     history = History()
-    best_state: Optional[dict[str, np.ndarray]] = None
     n = xs.shape[0]
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
@@ -241,17 +238,15 @@ def fit(model: Model, train_set, val_set, config: TrainConfig,
         history.epochs.append(
             {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss}
         )
-        improved_to = stopper.best_epoch
         stop = stopper.update(val_loss)
-        if stopper.best_epoch != improved_to:  # new best this epoch
+        if stopper.best_epoch == epoch:  # always at epoch 0, whose loss beats inf
             best_state = {k: v.copy() for k, v in model.state().items()}
         if stop:
             break
     history.best_epoch = stopper.best_epoch
-    if best_state is not None:
-        live = model.state()
-        for name, arr in best_state.items():
-            live[name][...] = arr
+    live = model.state()
+    for name, arr in best_state.items():
+        live[name][...] = arr
     return history
 
 
@@ -263,10 +258,8 @@ def two_phase_autoencoder_fit(pair, train_set, val_set, config: TrainConfig):
     Phase 1 runs ``config`` with an ``mse`` loss.  Returns ``(classifier,
     {"phase1": History, "phase2": History})``.
     """
-    from .data import SeriesDataset  # local import to avoid a cycle
-
-    ae_train = SeriesDataset(train_set.inputs, train_set.inputs)
-    ae_val = SeriesDataset(val_set.inputs, val_set.inputs)
+    ae_train = replace(train_set, targets=train_set.inputs)
+    ae_val = replace(val_set, targets=val_set.inputs)
     h1 = fit(pair.autoencoder, ae_train, ae_val, replace(config, loss="mse"))
     h2 = fit(pair.classifier, train_set, val_set, config,
              frozen=pair.encoder_params)

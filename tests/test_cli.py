@@ -637,6 +637,24 @@ def test_overflowing_loss_exits_3_with_only_the_error_line(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+def test_a_series_that_overflows_smoothing_exits_4_with_only_the_error_line(tmp_path, capsys):
+    # values near 1e307 overflow the forecast preset's smoothing sum, which
+    # used to train on NaN windows until the loss was NaN (exit 3)
+    path = tmp_path / "huger.csv"
+    values = np.sin(np.arange(400) / 7) * 1e307
+    path.write_text("v\n" + "".join(f"{float(x)!r}\n" for x in values))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(
+            ["train", "--task", "forecast", "--model", "ExampleModel", "--csv", str(path),
+             "--window", "20", "--horizon", "2", "--epochs", "1",
+             "--out", str(tmp_path / "x")], capsys)
+    assert code == 4
+    assert err == ("error: smoothing column 0 gave a non-finite value; the series must "
+                   "be finite and small enough for its running sum\n")
+    assert [str(w.message) for w in caught] == []
+
+
 def test_data_problems_exit_4(tmp_path, capsys):
     code, _, err = run_cli(
         ["train", "--task", "forecast", "--model", "ExampleModel",

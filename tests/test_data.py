@@ -80,6 +80,15 @@ def test_smooth_keeps_length_and_validates():
         smooth(np.empty((0, 1)), 2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("iterations", [1, 5])
+def test_smooth_rejects_a_running_sum_that_overflows(iterations):
+    finite = np.column_stack([np.ones(400), np.sin(np.arange(400) / 7) * 1e308])
+    with pytest.raises(DataError, match="smoothing column 1 gave a non-finite value"):
+        smooth(finite, 50, iterations)
+    assert np.isfinite(smooth(finite * 1e-10, 50, iterations).array).all()
+
+
 def test_zscore_uses_sample_std():
     got = np.asarray(zscore([1.0, 2.0, 3.0]).array)
     np.testing.assert_allclose(got[:, 0], [-1.0, 0.0, 1.0], atol=1e-15)

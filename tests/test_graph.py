@@ -12,15 +12,26 @@ from hypothesis import strategies as st
 from deepseries.errors import FormatError, GraphError, ShapeError, StateError
 from deepseries.graph import GraphBuilder, Model, NodeSpec, build
 from deepseries.layers import (
+    GRU,
+    LSTM,
     ActivationLayer,
     Add,
     BatchNorm1D,
+    Bidirectional,
     Concat,
     Conv1D,
     Dense,
+    Dropout,
     Flatten,
     Pool1D,
+    Reshape,
+    RTABlock,
+    SEBlock,
+    SpatialTemporalAttention,
+    TanhAttention,
+    Upsample1D,
 )
+from deepseries.layers.core import ChannelMean, Multiply, PadTime, ReverseTime, SumTime
 from deepseries.train import predict
 from deepseries.zoo import build_model, make_top, minimum_input_length
 
@@ -131,6 +142,32 @@ def test_shape_error_names_the_node():
     x = b.input("x", (2, 1))
     b.add("widekernel", Conv1D(4, 9), x)
     with pytest.raises(ShapeError, match="node 'widekernel'"):
+        b.build()
+
+
+# (layer factory, inputs given): each single-input kind with two inputs,
+# then the multi-input kinds with one input too many and one too few
+WRONG_INPUT_COUNTS = [
+    (f, 2) for f in (
+        lambda: Conv1D(3, 3), lambda: Pool1D(2), lambda: Dense(3), BatchNorm1D,
+        lambda: Dropout(0.5), lambda: ActivationLayer("tanh"), Flatten,
+        lambda: Reshape((32,)), lambda: Upsample1D(2), ChannelMean, SumTime,
+        lambda: PadTime(10), ReverseTime, lambda: LSTM(3), lambda: GRU(3),
+        lambda: Bidirectional(GRU(3)), lambda: SEBlock(2), lambda: RTABlock(4),
+        lambda: SpatialTemporalAttention(2, 3), lambda: TanhAttention(4),
+    )
+] + [(lambda: Add(2), 3), (lambda: Concat(2), 3), (Multiply, 3), (Multiply, 1)]
+
+
+@pytest.mark.parametrize("factory, given", WRONG_INPUT_COUNTS,
+                         ids=lambda v: v if isinstance(v, int) else v().kind)
+def test_a_node_with_the_wrong_input_count_is_named(factory, given):
+    layer = factory()
+    b = GraphBuilder()
+    ins = [b.input(f"x{i}", (8, 4)) for i in range(given)]
+    b.add("wrong", layer, ins)
+    with pytest.raises(ShapeError, match=f"^node 'wrong': {layer.kind} takes "
+                                         f"{layer.n_inputs} inputs, got {given}$"):
         b.build()
 
 

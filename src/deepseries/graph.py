@@ -72,7 +72,12 @@ class Model:
     # -- execution -----------------------------------------------------------
 
     def _coerce_inputs(self, x) -> dict[str, np.ndarray]:
-        if isinstance(x, (list, tuple)):
+        # A list or tuple holds one element per input; for a one-input model,
+        # a non-empty one with no array in it is the batch itself.
+        if isinstance(x, (list, tuple)) and (
+            len(self.input_names) > 1 or not x
+            or any(isinstance(v, (np.ndarray, Tensor)) for v in x)
+        ):
             if len(x) != len(self.input_names):
                 raise ShapeError(f"model has {len(self.input_names)} inputs, got {len(x)}")
             x = dict(zip(self.input_names, x))

@@ -30,14 +30,17 @@ class Conv1D(Layer):
     * ``full``:  ``time + kernel - 1`` (``kernel - 1`` zeros on both sides)
 
     The forward copies the padded input once into a window matrix of
-    ``[batch * t_out, kernel * in_channels]`` rows.  Each row is kernel-major
-    (``x[t], x[t+1], ...``, all channels of one step together), the order of
-    the kernel reshaped to ``[kernel * in_channels, filters]``, so the
-    convolution is one matrix product with neither operand transposed.  Past
-    batch 1 the window matrix and the output are two views of one
+    ``[batch * t_out, kernel * in_channels + 1]`` rows.  Each row is
+    kernel-major (``x[t], x[t+1], ...``, all channels of one step together),
+    the order of the kernel reshaped to ``[kernel * in_channels, filters]``,
+    and ends in a one, so the convolution and its bias are one matrix
+    product, with ``b`` stacked under the reshaped kernel and neither operand
+    transposed.  The window matrix and the output are two views of one
     allocation, freed together.  In training the cache keeps that window
-    matrix, and the weight gradient is its transpose times the output
-    gradient.
+    matrix; its transpose times the output gradient gives the weight
+    gradient, and the bias gradient in its last row.  Batch 1 skips the
+    copy: one sample's windows are a strided view of its padded input with
+    no ones column, multiplied by the kernel, and the bias is added after.
     """
 
     kind = "conv1d"
@@ -89,6 +92,7 @@ class Conv1D(Layer):
         if b == 1:  # one sample's windows are already a matrix view
             cols = win[0]
             z = cols @ w2
+            z += self.params["b"]
         else:
             # The window matrix and the output share one allocation.  As two
             # blocks, a batch-256 ExampleModel forward grew the heap by about
@@ -96,12 +100,13 @@ class Conv1D(Layer):
             # heap top back to the OS: successive calls either reused that
             # memory or faulted 6-8 MB of it back in, and took 20-40% longer
             # when they did.
-            block = np.empty(n * (kc + f))
-            cols = block[: n * kc].reshape(n, kc)
-            np.copyto(cols.reshape(b, t_out, kc), win)
-            z = np.matmul(cols, w2, out=block[n * kc :].reshape(n, f))
+            block = np.empty(n * (kc + 1 + f))
+            cols = block[: n * (kc + 1)].reshape(n, kc + 1)
+            np.copyto(cols.reshape(b, t_out, kc + 1)[..., :kc], win)
+            cols[:, kc] = 1.0  # the bias rides in the product
+            wb = np.concatenate((w2, self.params["b"][None]))
+            z = np.matmul(cols, wb, out=block[n * (kc + 1) :].reshape(n, f))
         z = z.reshape(b, t_out, f)
-        z += self.params["b"]
         a = self._act(z, out=z)
         if cache is not None:
             cache.update(cols=cols, a=a, in_time=x.shape[1])
@@ -111,14 +116,17 @@ class Conv1D(Layer):
         dz = self._act_grad(upstream, cache["a"])
         t_out = dz.shape[1]
         w = self.params["w"]
-        dw = (cache["cols"].T @ dz.reshape(-1, self.filters)).reshape(w.shape)
-        db = dz.sum(axis=(0, 1))
+        g = cache["cols"].T @ dz.reshape(-1, self.filters)
+        if len(g) > w.shape[0] * w.shape[1]:  # a ones column: the bias gradient
+            dw, db = g[:-1], g[-1]
+        else:
+            dw, db = g, dz.sum(axis=(0, 1))
         before, _ = self._pad_amounts()
         dxp = np.zeros((dz.shape[0], t_out + self.kernel - 1, w.shape[1]))
         for j in range(self.kernel):
             dxp[:, j : j + t_out] += dz @ w[j].T
         dx = dxp[:, before : before + cache["in_time"]]
-        return dx, {"w": dw, "b": db}
+        return dx, {"w": dw.reshape(w.shape), "b": db}
 
 
 def _pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -146,8 +154,10 @@ class Pool1D(Layer):
     than the window is dropped) and are compared pairwise with
     ``np.maximum``, so a NaN anywhere in a window gives NaN.  Backward routes
     each window's gradient to the first maximal position (strict ``>``, so
-    the first of tied maxima wins).  ``global_avg`` averages the whole time
-    axis away.
+    the first of tied maxima wins) with one product per window offset: the
+    upstream gradient times whether that offset won.  Where a window's
+    gradient is negative, its other positions hold ``-0.0``.  ``global_avg``
+    averages the whole time axis away.
     """
 
     kind = "pool1d"
@@ -180,8 +190,8 @@ class Pool1D(Layer):
         arg = None if cache is None else np.zeros(out.shape, np.min_scalar_type(w - 1))
         for j in range(1, w):
             cand = x[:, j : j + stop : w]
-            if arg is not None:
-                arg[cand > out] = j
+            if arg is not None:  # j where cand wins, arg where it does not
+                arg += (cand > out) * (j - arg)
             out = np.maximum(out, cand)
         if cache is not None:
             cache.update(arg=arg, in_shape=x.shape)
@@ -191,10 +201,11 @@ class Pool1D(Layer):
         in_shape = cache["in_shape"]
         if self.op == "global_avg":
             return np.broadcast_to(upstream[:, None, :] / in_shape[1], in_shape).copy(), {}
-        w = self.window
-        at = np.arange(0, w * upstream.shape[1], w)[:, None] + cache["arg"]  # input time index
+        w, arg = self.window, cache["arg"]
+        stop = w * (upstream.shape[1] - 1) + 1
         dx = np.zeros(in_shape)
-        np.put_along_axis(dx, at, upstream, axis=1)
+        for j in range(w):
+            np.multiply(upstream, arg == j, out=dx[:, j : j + stop : w])
         return dx, {}
 
 

@@ -4,6 +4,14 @@ Input is ``[batch, time, channels]``.  With ``return_sequences`` the output is
 ``[batch, time, units]``, otherwise the final hidden state ``[batch, units]``.
 Initial states are zero.  Kernels use the uniform(+-1/sqrt(units)) draw; the
 LSTM forget-gate bias starts at one.
+
+Training steps keep the rows of a batch as rows: ``[batch, gates]``.  The
+inference step (no backward cache) runs gate-major: the states are
+``[units, batch]``, and a step's gate pre-activations come from one product
+``[gates, channels + 1 + units] @ [channels + 1 + units, batch]`` of the
+weights with ``x_t``, a row of ones (the bias) and ``h_{t-1}``.  Each gate
+and state is then a contiguous block of rows, so every elementwise op runs
+as one flat loop over it.  The output is transposed back once, at the end.
 """
 
 from __future__ import annotations
@@ -29,25 +37,31 @@ class _Recurrent(Layer):
         return (t, self.units) if self.return_sequences else (self.units,)
 
     def _inference_terms(self, x):
-        """``wh`` and the input term ``x @ wx + b`` in the inference gate layout.
+        """Gate-major weights ``[gates, channels + 1 + units]`` and the step stack.
 
-        Stacks ``wx``, ``wh`` and ``b``, gathers the columns into the order
-        ``_order`` fixed at build, and halves the leading ``_n_sigmoid``
-        columns, the sigmoid gates, in place:
-        ``sigmoid(z) = 0.5 + 0.5 * tanh(z / 2)`` and halving is exact, so one
-        ``tanh`` of the halved pre-activations serves every gate.  The input
-        term is laid out ``[time, batch, gates]``, so each step reads a
-        contiguous block.  Derived from the parameters on every call, so
-        parameter updates apply at once.
+        Stacks ``wx``, ``b`` and ``wh``, gathers the columns into the order
+        ``_order`` fixed at build, halves the leading ``_n_sigmoid`` columns,
+        the sigmoid gates, in place (``sigmoid(z) = 0.5 + 0.5 * tanh(z / 2)``
+        and halving is exact, so one ``tanh`` of the halved pre-activations
+        serves every gate) and transposes.  The stack is ``[time + 1,
+        channels + 1 + units, batch]``: block ``t`` holds ``x_t``, a row of
+        ones and ``h_{t-1}`` (zero in block 0), so one product
+        ``w @ stack[t]`` gives the pre-activations of step ``t``, bias
+        included.  (A GRU's candidate reads ``r * h``, so it takes only the
+        input rows.)  Step ``t`` writes ``h_t`` into the state rows of block
+        ``t + 1``; the input rows of the last block are never read.  Derived
+        from the parameters on every call, so parameter updates apply at
+        once.
         """
         b, t, ch = x.shape
         p = self.params
-        w = np.concatenate((p["wx"], p["wh"], p["b"][None]))[:, self._order]
-        w[:, : self._n_sigmoid] *= 0.5
-        x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t * b, ch)
-        xw = x_tm @ w[:ch]
-        xw += w[-1]
-        return w[ch:-1], xw.reshape(t, b, w.shape[1])
+        w = np.concatenate((p["wx"], p["b"][None], p["wh"]))[:, self._order].T
+        w[: self._n_sigmoid] *= 0.5
+        stack = np.empty((t + 1, w.shape[1], b))
+        stack[:t, :ch] = x.transpose(1, 2, 0)
+        stack[:, ch] = 1.0
+        stack[0, ch + 1 :] = 0.0
+        return np.ascontiguousarray(w), stack
 
 
 class LSTM(_Recurrent):
@@ -105,26 +119,23 @@ class LSTM(_Recurrent):
         return hs if self.return_sequences else h
 
     def _infer(self, x):
-        b, t, _ = x.shape
+        b, t, ch = x.shape
         u = self.units
-        wh, xw = self._inference_terms(x)
-        h = np.zeros((b, u))
-        c = np.zeros((b, u))
-        hs = np.empty((b, t, u)) if self.return_sequences else None
-        z = np.empty((b, 4 * u))
-        sig = z[:, : 3 * u]
-        i, f, o, g = (z[:, k * u : (k + 1) * u] for k in range(4))
+        w, stack = self._inference_terms(x)
+        hs = stack[:, ch + 1 :]
+        c = np.zeros((u, b))
+        z = np.empty((4 * u, b))
+        sig = z[: 3 * u]
+        i, f, o, g = (z[k * u : (k + 1) * u] for k in range(4))
         for ti in range(t):
-            np.matmul(h, wh, out=z)
-            z += xw[ti]
+            np.matmul(w, stack[ti], out=z)
             np.tanh(z, out=z)
             sig *= 0.5  # i f o: 0.5 + 0.5 * tanh(z / 2)
             sig += 0.5
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            if hs is not None:
-                hs[:, ti] = h
-        return h if hs is None else hs
+            c *= f
+            c += i * g
+            np.multiply(o, np.tanh(c), out=hs[ti + 1])
+        return _batch_major(hs, self.return_sequences)
 
     def backward(self, upstream, cache):
         x, steps = cache["x"], cache["steps"]
@@ -213,25 +224,30 @@ class GRU(_Recurrent):
         return hs if self.return_sequences else h
 
     def _infer(self, x):
-        b, t, _ = x.shape
+        b, t, ch = x.shape
         u = self.units
-        wh, xw = self._inference_terms(x)
-        wh_zr, wh_n = wh[:, : 2 * u], wh[:, 2 * u :]
-        h = np.zeros((b, u))
-        hs = np.empty((b, t, u)) if self.return_sequences else None
-        zr = np.empty((b, 2 * u))
-        z, r = zr[:, :u], zr[:, u:]
+        w, stack = self._inference_terms(x)
+        w_zr, w_nh = w[: 2 * u], w[2 * u :, ch + 1 :]
+        # The candidate's recurrent product reads r * h, not the stack's h,
+        # so its input term, bias included, is one product over all steps;
+        # one per step would cost each batch-1 step another call.
+        xn = np.matmul(w[2 * u :, : ch + 1], stack[:t, : ch + 1])
+        hs = stack[:, ch + 1 :]
+        zr = np.empty((2 * u, b))
+        z, r = zr[:u], zr[u:]
         for ti in range(t):
-            np.matmul(h, wh_zr, out=zr)
-            zr += xw[ti, :, : 2 * u]
+            h = hs[ti]
+            np.matmul(w_zr, stack[ti], out=zr)
             np.tanh(zr, out=zr)
             zr *= 0.5  # z r: 0.5 + 0.5 * tanh(z / 2)
             zr += 0.5
-            n = np.tanh(xw[ti, :, 2 * u :] + (r * h) @ wh_n)
-            h = (1.0 - z) * h + z * n
-            if hs is not None:
-                hs[:, ti] = h
-        return h if hs is None else hs
+            n = w_nh @ (r * h)
+            n += xn[ti]
+            np.tanh(n, out=n)
+            n -= h  # h + z * (n - h): (1 - z) * h + z * n in one op fewer
+            n *= z
+            np.add(h, n, out=hs[ti + 1])
+        return _batch_major(hs, self.return_sequences)
 
     def backward(self, upstream, cache):
         x, steps = cache["x"], cache["steps"]
@@ -265,6 +281,13 @@ class GRU(_Recurrent):
             dx[:, ti] = dgates @ wx.T
             dh_next = dh_prev + dzr @ wh[:, : 2 * u].T
         return dx, {"wx": dwx, "wh": dwh, "b": db}
+
+
+def _batch_major(hs, return_sequences):
+    """The layer output from the gate-major states ``[time + 1, units, batch]``
+    (``h_0`` first): ``[batch, time, units]`` or the final ``[batch, units]``,
+    C-contiguous."""
+    return np.ascontiguousarray(hs[1:].transpose(2, 0, 1) if return_sequences else hs[-1].T)
 
 
 class Bidirectional(Subgraph):

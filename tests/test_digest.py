@@ -33,3 +33,13 @@ def test_changing_one_weight_changes_the_gradient_line():
     after = digest.model_digests(model, x)
     assert after["param_grads"] != before["param_grads"]
     assert after["predict_empty"] == before["predict_empty"]
+
+
+def test_partition_prints_one_spread_per_case_and_the_largest():
+    lines = digest.partition_lines(SUBSET)
+    assert len(lines) == len(SUBSET) * len(digest.HEADS) + 1
+    assert lines[0].startswith("ShiHaotian classify ")
+    spreads = [float(line.rsplit(" ", 1)[1]) for line in lines[:-1]]
+    assert lines[-1] == f"max {max(spreads):.3g}"
+    # the batch-1 vs batch-256 bound the benchmark gates on
+    assert all(0.0 <= s <= 1e-9 for s in spreads)

@@ -206,6 +206,19 @@ def test_input_sequence_of_the_wrong_length_raises():
         b.build(output="cat").forward([np.zeros((2, 4, 1))])
 
 
+def test_nested_lists_are_one_batch_for_a_one_input_model():
+    b = GraphBuilder()
+    b.add("d", Dense(2), [b.input("x", (3,))])
+    m = b.build(output="d")
+    rows = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    want = m.forward(np.array(rows)).array
+    for given in (rows, tuple(rows), [tuple(r) for r in rows], [rows[0]]):
+        got = m.forward(given).array
+        np.testing.assert_array_equal(got, want[: len(given)])
+    # an array element still means one element per input
+    np.testing.assert_array_equal(m.forward([np.array(rows)]).array, want)
+
+
 def test_backward_without_training_forward_raises():
     m = tiny_model()
     with pytest.raises(StateError, match="training-mode forward"):

@@ -177,6 +177,36 @@ def test_conv_matches_window_einsum_reference(padding, kernel, channels, layout)
         np.testing.assert_array_equal(x, base)
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("padding", ["valid", "same", "full"])
+def test_conv_folded_bias_matches_window_matrix_reference(padding, channels):
+    # Past batch 1 the bias is a row of the product and its gradient a row of
+    # the weight-gradient product; batch 1 adds it to a window view instead.
+    rng = np.random.default_rng(channels)
+    layer = Conv1D(4, 3, padding=padding, activation="relu")
+    layer.bind([(9, channels)], rng)
+    layer.params["b"][...] = rng.normal(size=4)
+    w, b = layer.params["w"], layer.params["b"]
+    before, after = layer._pad_amounts()
+    for batch in (1, 5):
+        x = rng.normal(size=(batch, 9, channels))
+        xp = np.pad(x, ((0, 0), (before, after), (0, 0)))
+        windows = np.stack([xp[:, s : s + 3].reshape(batch, -1)
+                            for s in range(xp.shape[1] - 2)], axis=1)
+        ref = np.maximum(windows @ w.reshape(-1, 4) + b, 0.0)
+        cache = {}
+        out = layer.forward(x, train=True, cache=cache)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(layer.forward(x), out)
+        up = rng.normal(size=out.shape)
+        _, grads = layer.backward(up, cache)
+        dz = up * (out > 0.0)
+        np.testing.assert_allclose(grads["b"], dz.sum((0, 1)), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads["w"].reshape(-1, 4),
+                                   windows.reshape(-1, windows.shape[2]).T @ dz.reshape(-1, 4),
+                                   rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("activation", ["linear", "relu"])
 def test_conv_window_matrix_and_output_share_one_allocation(activation):
     # One block for both keeps a batch-256 forward's heap growth clear of the

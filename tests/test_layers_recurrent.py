@@ -8,7 +8,7 @@ import pytest
 
 from deepseries.errors import ParameterError
 from deepseries.layers import GRU, LSTM, Bidirectional
-from deepseries.train import Adam
+from deepseries.train import Adam, predict
 from conftest import single_node_model
 
 
@@ -152,6 +152,27 @@ def test_inference_step_matches_training_step(cell, return_sequences, batch):
     trained = np.asarray(m.forward(x, train=True).array)
     assert infer.shape == trained.shape
     np.testing.assert_allclose(infer, trained, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("return_sequences", [False, True])
+@pytest.mark.parametrize("cell", [LSTM, GRU])
+def test_gate_major_inference_matches_training_at_every_batch_size(cell, return_sequences):
+    # The inference step runs [units, batch] states and a [time, gates, batch]
+    # input term, with its own batch-1 product; each size must come back as
+    # the training step's [batch, ...] layout, zero rows included.
+    layer = cell(6, return_sequences=return_sequences)
+    m = single_node_model(layer, (9, 4), seed=14)
+    for name, p in m.parameters().items():
+        p[...] = np.random.default_rng(len(name)).normal(scale=0.5, size=p.shape)
+    want = (9, 6) if return_sequences else (6,)
+    for batch in (0, 1, 2, 7, 64, 256):
+        x = np.random.default_rng(batch).normal(size=(batch, 9, 4))
+        infer = layer.forward(x)
+        trained = layer.forward(x, train=True, cache={})
+        assert infer.shape == trained.shape == (batch, *want)
+        assert infer.flags.c_contiguous
+        np.testing.assert_allclose(infer, trained, rtol=0, atol=1e-12)
+        assert predict(m, x, batch_size=256).shape == (batch, *want)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))

@@ -1,6 +1,6 @@
 """Print SHA-256 digests of what the engine computes, to compare two trees.
 
-    python3 tools/digest.py [--entries NAME ...]
+    python3 tools/digest.py [--entries NAME ...] [--partition]
 
 Run from the repository root; the engine is imported from ``src/`` next to
 this script.  Each registry entry, and YaoQihang with ``attention=True``, is
@@ -18,6 +18,11 @@ under each head.  One line per (entry, head, check) gives the SHA-256 of:
 The last line is the SHA-256 of all lines before it.  Run the script on two
 trees and diff the outputs: equal lines mean equal bytes.  The values depend
 on the numpy and BLAS build, so compare runs made on one machine.
+
+``--partition`` prints instead, per (entry, head), the largest
+``|predict at batch 1 - predict at batch 7, 64 and 256|`` over
+``PARTITION_ROWS`` rows, then the largest of all: how far a row's output
+depends on the rows it is batched with.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from deepseries import zoo  # noqa: E402
 from deepseries.train import predict  # noqa: E402
 
 ROWS = 6
+PARTITION_ROWS = 300  # every batch size below splits them unevenly
+PARTITION_SIZES = (7, 64, 256)
 HEADS = {
     "classify": zoo.make_top("classify", classes=3),
     "forecast": zoo.make_top("forecast", horizon=2, features=1),
@@ -68,36 +75,57 @@ def model_digests(model, x: np.ndarray) -> dict[str, str]:
     }
 
 
-def build(name: str, hyper: dict, head: str):
+def partition_spread(model, x: np.ndarray) -> float:
+    """The largest ``|predict at batch 1 - predict at each PARTITION_SIZES|``."""
+    one = predict(model, x, batch_size=1)
+    return max(float(np.abs(predict(model, x, batch_size=n) - one).max())
+               for n in PARTITION_SIZES)
+
+
+def build(name: str, hyper: dict, head: str, rows: int = ROWS):
     """The model for one case and the rows it is checked on."""
     steps = max(zoo.minimum_input_length(name, **hyper), 64)
     model = zoo.build_model(name, (steps, 1), HEADS[head], seed=0, **hyper)
-    x = np.random.default_rng(0).normal(size=(ROWS, steps, 1))
+    x = np.random.default_rng(0).normal(size=(rows, steps, 1))
     return model, x
+
+
+def _cases(entries):
+    for name, hyper in VARIANTS:
+        if entries is None or name in entries:
+            label = " ".join([name, *(f"{k}={v}" for k, v in hyper.items())])
+            for head in HEADS:
+                yield f"{label} {head}", name, hyper, head
 
 
 def lines(entries=None) -> list[str]:
     """Every digest line, then the total, for the named entries (all by default)."""
     out = []
-    for name, hyper in VARIANTS:
-        if entries is not None and name not in entries:
-            continue
-        label = " ".join([name, *(f"{k}={v}" for k, v in hyper.items())])
-        for head in HEADS:
-            digests = model_digests(*build(name, hyper, head))
-            out += [f"{label} {head} {check} {d}" for check, d in digests.items()]
+    for case, name, hyper, head in _cases(entries):
+        digests = model_digests(*build(name, hyper, head))
+        out += [f"{case} {check} {d}" for check, d in digests.items()]
     return out + [f"total {hashlib.sha256(chr(10).join(out).encode()).hexdigest()}"]
+
+
+def partition_lines(entries=None) -> list[str]:
+    """One batch-partition spread per case, then the largest of all."""
+    spreads = {case: partition_spread(*build(name, hyper, head, PARTITION_ROWS))
+               for case, name, hyper, head in _cases(entries)}
+    return ([f"{case} {d:.3g}" for case, d in spreads.items()]
+            + [f"max {max(spreads.values()):.3g}"])
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--entries", nargs="+", metavar="NAME",
                    help="registry names to digest (default: all)")
+    p.add_argument("--partition", action="store_true",
+                   help="print batch-partition spreads instead of digests")
     args = p.parse_args(argv)
     unknown = sorted(set(args.entries or ()) - set(zoo.names()))
     if unknown:
         p.error(f"unknown entries {unknown}")
-    print("\n".join(lines(args.entries)))
+    print("\n".join((partition_lines if args.partition else lines)(args.entries)))
     return 0
 
 

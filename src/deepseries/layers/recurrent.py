@@ -5,13 +5,19 @@ Input is ``[batch, time, channels]``.  With ``return_sequences`` the output is
 Initial states are zero.  Kernels use the uniform(+-1/sqrt(units)) draw; the
 LSTM forget-gate bias starts at one.
 
-Training steps keep the rows of a batch as rows: ``[batch, gates]``.  The
-inference step (no backward cache) runs gate-major: the states are
-``[units, batch]``, and a step's gate pre-activations come from one product
+Each cell has one step loop, for training and inference, and it runs
+gate-major: the states are ``[units, batch]``, and a step's gate
+pre-activations come from one product
 ``[gates, channels + 1 + units] @ [channels + 1 + units, batch]`` of the
 weights with ``x_t``, a row of ones (the bias) and ``h_{t-1}``.  Each gate
 and state is then a contiguous block of rows, so every elementwise op runs
-as one flat loop over it.  The output is transposed back once, at the end.
+as one flat loop over it.  Given a backward cache, the loop writes every
+step's blocks into ``[time, rows, batch]`` arrays; without one it reuses a
+single block.  The backward walks the same layout: per step, one product
+``w.T @ dz`` gives ``dx_t`` and ``dh_{t-1}``, and ``dz @ stack[t].T`` adds
+into one ``[gates, channels + 1 + units]`` weight gradient, which is
+scattered back to ``wx``, ``b`` and ``wh`` once.  Outputs and input
+gradients are transposed back once, at the end.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .base import Layer, recurrent_uniform, sigmoid
+from .base import Layer, recurrent_uniform
 from .core import Concat, ReverseTime
 from .subgraph import NodeSpec, Subgraph
 
@@ -36,32 +42,46 @@ class _Recurrent(Layer):
         t, _ = self._series(in_shapes)
         return (t, self.units) if self.return_sequences else (self.units,)
 
-    def _inference_terms(self, x):
+    def _weights(self):
+        """``wx``, ``b`` and ``wh`` stacked, ``[channels + 1 + units, gates]``,
+        with the gate columns in the order ``_order`` fixed at build."""
+        p = self.params
+        return np.concatenate((p["wx"], p["b"][None], p["wh"]))[:, self._order]
+
+    def _step_terms(self, x):
         """Gate-major weights ``[gates, channels + 1 + units]`` and the step stack.
 
-        Stacks ``wx``, ``b`` and ``wh``, gathers the columns into the order
-        ``_order`` fixed at build, halves the leading ``_n_sigmoid`` columns,
+        Transposes ``_weights`` and halves its leading ``_n_sigmoid`` rows,
         the sigmoid gates, in place (``sigmoid(z) = 0.5 + 0.5 * tanh(z / 2)``
         and halving is exact, so one ``tanh`` of the halved pre-activations
-        serves every gate) and transposes.  The stack is ``[time + 1,
-        channels + 1 + units, batch]``: block ``t`` holds ``x_t``, a row of
-        ones and ``h_{t-1}`` (zero in block 0), so one product
-        ``w @ stack[t]`` gives the pre-activations of step ``t``, bias
-        included.  (A GRU's candidate reads ``r * h``, so it takes only the
-        input rows.)  Step ``t`` writes ``h_t`` into the state rows of block
-        ``t + 1``; the input rows of the last block are never read.  Derived
-        from the parameters on every call, so parameter updates apply at
-        once.
+        serves every gate).  The stack is ``[time + 1, channels + 1 + units,
+        batch]``: block ``t`` holds ``x_t``, a row of ones and ``h_{t-1}``
+        (zero in block 0), so one product ``w @ stack[t]`` gives the
+        pre-activations of step ``t``, bias included.  (A GRU's candidate
+        reads ``r * h``, so it takes only the input rows.)  Step ``t`` writes
+        ``h_t`` into the state rows of block ``t + 1``; the input rows of the
+        last block are never read.  Derived from the parameters on every
+        call, so parameter updates apply at once.
         """
         b, t, ch = x.shape
-        p = self.params
-        w = np.concatenate((p["wx"], p["b"][None], p["wh"]))[:, self._order].T
+        w = self._weights().T
         w[: self._n_sigmoid] *= 0.5
         stack = np.empty((t + 1, w.shape[1], b))
         stack[:t, :ch] = x.transpose(1, 2, 0)
         stack[:, ch] = 1.0
         stack[0, ch + 1 :] = 0.0
         return np.ascontiguousarray(w), stack
+
+    def _grads(self, dxh, dw):
+        """The input gradient ``[batch, time, channels]`` from the gate-major
+        ``dxh`` ``[time, channels + 1 + units, batch]``, and the parameter
+        gradients from ``dw`` ``[gates, channels + 1 + units]``, scattered
+        back through ``_order`` to ``wx``, ``b`` and ``wh``."""
+        ch = dw.shape[1] - 1 - self.units
+        g = np.empty(dw.shape[::-1])
+        g[:, self._order] = dw.T
+        dx = np.ascontiguousarray(dxh[:, :ch].transpose(2, 0, 1))
+        return dx, {"wx": g[:ch], "b": g[ch], "wh": g[ch + 1 :]}
 
 
 class LSTM(_Recurrent):
@@ -74,9 +94,10 @@ class LSTM(_Recurrent):
         c_t = f * c_{t-1} + i * g
         h_t = o * tanh(c_t)
 
-    The stored packing stays ``i/f/g/o``.  Without a cache (inference) each
-    call reorders a copy to ``i/f/o/g`` and halves its ``i f o`` columns, so
-    one ``tanh`` covers all four gates.
+    The stored packing stays ``i/f/g/o``.  Each call reorders a copy to
+    ``i/f/o/g`` and halves its ``i f o`` rows, so one ``tanh`` covers all
+    four gates.  The cache holds the stack, every step's activated gates,
+    the cells ``c_0 .. c_t`` and ``tanh(c_t)``.
     """
 
     kind = "lstm"
@@ -92,87 +113,68 @@ class LSTM(_Recurrent):
         self._n_sigmoid = 3 * u
 
     def forward(self, x, train=False, cache=None):
-        if cache is None:
-            return self._infer(x)
-        b, t, _ = x.shape
-        u = self.units
-        wx, wh, bias = self.params["wx"], self.params["wh"], self.params["b"]
-        h = np.zeros((b, u))
-        c = np.zeros((b, u))
-        hs = np.empty((b, t, u))
-        steps = []
-        xw = x @ wx + bias  # input contribution for every step at once
-        for ti in range(t):
-            z = xw[:, ti] + h @ wh
-            i = sigmoid(z[:, :u])
-            f = sigmoid(z[:, u : 2 * u])
-            g = np.tanh(z[:, 2 * u : 3 * u])
-            o = sigmoid(z[:, 3 * u :])
-            c_prev = c
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h_prev = h
-            h = o * tc
-            hs[:, ti] = h
-            steps.append((h_prev, c_prev, i, f, g, o, tc))
-        cache.update(x=x, steps=steps)
-        return hs if self.return_sequences else h
-
-    def _infer(self, x):
         b, t, ch = x.shape
         u = self.units
-        w, stack = self._inference_terms(x)
+        w, stack = self._step_terms(x)
         hs = stack[:, ch + 1 :]
-        c = np.zeros((u, b))
-        z = np.empty((4 * u, b))
-        sig = z[: 3 * u]
-        i, f, o, g = (z[k * u : (k + 1) * u] for k in range(4))
+        # A backward reads every step's blocks; inference reuses one set and
+        # alternates two cell blocks (writing c_t over c_{t-1} would cost
+        # numpy an overlap copy per step).
+        kept = t if cache is not None else 1
+        zs = np.empty((kept, 4 * u, b))  # activated gates, i f o g
+        tcs = np.empty((kept, u, b))  # tanh(c_t)
+        cs = np.zeros((kept + 1, u, b))  # c_0 = 0, then c_t
+        blocks = [(z, z[: 3 * u], *z.reshape(4, u, b), tc) for z, tc in zip(zs, tcs)]
         for ti in range(t):
+            z, sig, i, f, o, g, tc = blocks[ti % kept]
+            c_prev, c = cs[ti % (kept + 1)], cs[(ti + 1) % (kept + 1)]
             np.matmul(w, stack[ti], out=z)
             np.tanh(z, out=z)
             sig *= 0.5  # i f o: 0.5 + 0.5 * tanh(z / 2)
             sig += 0.5
-            c *= f
-            c += i * g
-            np.multiply(o, np.tanh(c), out=hs[ti + 1])
+            np.multiply(f, c_prev, out=c)
+            np.multiply(i, g, out=tc)
+            c += tc
+            np.tanh(c, out=tc)
+            np.multiply(o, tc, out=hs[ti + 1])
+        if cache is not None:
+            cache.update(stack=stack, zs=zs, cs=cs, tcs=tcs)
         return _batch_major(hs, self.return_sequences)
 
     def backward(self, upstream, cache):
-        x, steps = cache["x"], cache["steps"]
-        b, t, ch = x.shape
+        stack, zs, cs, tcs = cache["stack"], cache["zs"], cache["cs"], cache["tcs"]
+        t, _, b = zs.shape
         u = self.units
-        wx, wh = self.params["wx"], self.params["wh"]
+        k = stack.shape[1]
+        wt = self._weights()
         seq = self.return_sequences
-        dwx = np.zeros_like(wx)
-        dwh = np.zeros_like(wh)
-        db = np.zeros(4 * u)
-        dx = np.empty_like(x)
-        dh_next = np.zeros((b, u)) if seq else upstream  # only the last h is output
-        dc_next = np.zeros((b, u))
+        dw = np.zeros((4 * u, k))
+        step = np.empty_like(dw)
+        dxh = np.empty((t, k, b))  # per step: dx_t, the bias row, dh_{t-1}
+        dz = np.empty((4 * u, b))
+        di, df, do, dg = dz.reshape(4, u, b)
+        gates = zs.reshape(t, 4, u, b)
+        dc = np.zeros((u, b))
+        dh = np.zeros((u, b)) if seq else upstream.T  # only the last h is output
         for ti in range(t - 1, -1, -1):
-            h_prev, c_prev, i, f, g, o, tc = steps[ti]
-            dh = dh_next + upstream[:, ti] if seq else dh_next
-            do = dh * tc
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_next = dc * f
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            dwx += x[:, ti].T @ dz
-            dwh += h_prev.T @ dz
-            db += dz.sum(axis=0)
-            dx[:, ti] = dz @ wx.T
-            dh_next = dz @ wh.T
-        return dx, {"wx": dwx, "wh": dwh, "b": db}
+            i, f, o, g = gates[ti]
+            tc = tcs[ti]
+            if seq:
+                dh += upstream[:, ti].T
+            np.multiply(dh, tc, out=do)
+            dc += dh * o * (1.0 - tc * tc)
+            np.multiply(dc, g, out=di)
+            np.multiply(dc, cs[ti], out=df)
+            np.multiply(dc, i, out=dg)
+            dc *= f
+            a = zs[ti, : 3 * u]
+            dz[: 3 * u] *= a * (1.0 - a)  # i f o
+            dg *= 1.0 - g * g
+            np.matmul(wt, dz, out=dxh[ti])
+            np.matmul(dz, stack[ti].T, out=step)
+            dw += step
+            dh = dxh[ti, k - u :]
+        return self._grads(dxh, dw)
 
 
 class GRU(_Recurrent):
@@ -186,8 +188,10 @@ class GRU(_Recurrent):
         n_t = tanh(x_t @ wx_n + (r_t * h_{t-1}) @ wh_n + b_n)
         h_t = (1 - z_t) * h_{t-1} + z_t * n_t
 
-    The stored packing stays ``z/r/n``.  Without a cache (inference) each call
-    halves a copy of the ``z r`` columns so one ``tanh`` covers both gates.
+    The stored packing stays ``z/r/n``.  Each call halves a copy of the
+    ``z r`` rows so one ``tanh`` covers both gates.  The cache holds the
+    stack and every step's activated ``z r`` block, ``r * h_{t-1}`` and
+    candidate ``n_t``.
     """
 
     kind = "gru"
@@ -201,86 +205,76 @@ class GRU(_Recurrent):
         self._n_sigmoid = 2 * u
 
     def forward(self, x, train=False, cache=None):
-        if cache is None:
-            return self._infer(x)
-        b, t, _ = x.shape
-        u = self.units
-        wx, wh, bias = self.params["wx"], self.params["wh"], self.params["b"]
-        h = np.zeros((b, u))
-        hs = np.empty((b, t, u))
-        steps = []
-        xw = x @ wx + bias
-        for ti in range(t):
-            zr = xw[:, ti, : 2 * u] + h @ wh[:, : 2 * u]
-            z = sigmoid(zr[:, :u])
-            r = sigmoid(zr[:, u:])
-            rh = r * h
-            n = np.tanh(xw[:, ti, 2 * u :] + rh @ wh[:, 2 * u :])
-            h_prev = h
-            h = (1.0 - z) * h_prev + z * n
-            hs[:, ti] = h
-            steps.append((h_prev, z, r, n, rh))
-        cache.update(x=x, steps=steps)
-        return hs if self.return_sequences else h
-
-    def _infer(self, x):
         b, t, ch = x.shape
         u = self.units
-        w, stack = self._inference_terms(x)
+        w, stack = self._step_terms(x)
         w_zr, w_nh = w[: 2 * u], w[2 * u :, ch + 1 :]
         # The candidate's recurrent product reads r * h, not the stack's h,
         # so its input term, bias included, is one product over all steps;
-        # one per step would cost each batch-1 step another call.
-        xn = np.matmul(w[2 * u :, : ch + 1], stack[:t, : ch + 1])
+        # one per step would cost each batch-1 step another call.  Each step
+        # adds its recurrent term in place, so this holds every n_t.
+        ns = np.matmul(w[2 * u :, : ch + 1], stack[:t, : ch + 1])
         hs = stack[:, ch + 1 :]
-        zr = np.empty((2 * u, b))
-        z, r = zr[:u], zr[u:]
+        kept = t if cache is not None else 1  # a backward reads every step's blocks
+        zrs = np.empty((kept, 2 * u, b))  # activated z r
+        rhs = np.empty((kept, u, b))  # r * h_{t-1}
+        blocks = [(zr, zr[:u], zr[u:], rh) for zr, rh in zip(zrs, rhs)]
         for ti in range(t):
-            h = hs[ti]
+            zr, z, r, rh = blocks[ti % kept]
+            h, cand, hn = hs[ti], ns[ti], hs[ti + 1]
             np.matmul(w_zr, stack[ti], out=zr)
             np.tanh(zr, out=zr)
             zr *= 0.5  # z r: 0.5 + 0.5 * tanh(z / 2)
             zr += 0.5
-            n = w_nh @ (r * h)
-            n += xn[ti]
-            np.tanh(n, out=n)
-            n -= h  # h + z * (n - h): (1 - z) * h + z * n in one op fewer
-            n *= z
-            np.add(h, n, out=hs[ti + 1])
+            np.multiply(r, h, out=rh)
+            cand += w_nh @ rh
+            np.tanh(cand, out=cand)
+            np.subtract(cand, h, out=hn)  # h + z * (n - h): (1 - z) * h + z * n in one op fewer
+            hn *= z
+            hn += h
+        if cache is not None:
+            cache.update(stack=stack, zrs=zrs, rhs=rhs, ns=ns)
         return _batch_major(hs, self.return_sequences)
 
     def backward(self, upstream, cache):
-        x, steps = cache["x"], cache["steps"]
-        b, t, ch = x.shape
-        u = self.units
-        wx, wh = self.params["wx"], self.params["wh"]
+        stack, zrs, rhs, ns = cache["stack"], cache["zrs"], cache["rhs"], cache["ns"]
+        t, u, b = ns.shape
+        k = stack.shape[1]
+        wt = self._weights()
+        # n reads r * h, not h: its recurrent term goes back through drh, so
+        # the product that gives dx_t and dh_{t-1} leaves it out.
+        w_nh = wt[k - u :, 2 * u :].copy()
+        wt[k - u :, 2 * u :] = 0.0
         seq = self.return_sequences
-        dwx = np.zeros_like(wx)
-        dwh = np.zeros_like(wh)
-        db = np.zeros(3 * u)
-        dx = np.empty_like(x)
-        dh_next = np.zeros((b, u)) if seq else upstream  # only the last h is output
+        dw = np.zeros((3 * u, k))
+        step = np.empty_like(dw)
+        dxh = np.empty((t, k, b))  # per step: dx_t, the bias row, dh_{t-1}
+        dz = np.empty((3 * u, b))
+        dzz, dzr, dzn = dz.reshape(3, u, b)
+        gates = zrs.reshape(t, 2, u, b)
+        dh = np.zeros((u, b)) if seq else upstream.T  # only the last h is output
         for ti in range(t - 1, -1, -1):
-            h_prev, z, r, n, rh = steps[ti]
-            dh = dh_next + upstream[:, ti] if seq else dh_next
-            dz_gate = dh * (n - h_prev)
-            dn = dh * z
-            dh_prev = dh * (1.0 - z)
-            dn_pre = dn * (1.0 - n * n)
-            drh = dn_pre @ wh[:, 2 * u :].T
-            dr = drh * h_prev
+            h, n, rh = stack[ti, k - u :], ns[ti], rhs[ti]
+            z, r = gates[ti]
+            if seq:
+                dh += upstream[:, ti].T
+            np.subtract(n, h, out=dzz)
+            dzz *= dh
+            np.multiply(dh, z, out=dzn)
+            dzn *= 1.0 - n * n
+            drh = w_nh @ dzn
+            np.multiply(drh, h, out=dzr)
+            a = zrs[ti]
+            dz[: 2 * u] *= a * (1.0 - a)  # z r
+            np.matmul(wt, dz, out=dxh[ti])
+            np.matmul(dz, stack[ti].T, out=step)
+            np.matmul(dzn, rh.T, out=step[2 * u :, k - u :])  # n's recurrent term reads r * h
+            dw += step
+            dh_prev = dxh[ti, k - u :]
+            dh_prev += dh * (1.0 - z)
             dh_prev += drh * r
-            dzr = np.concatenate(
-                [dz_gate * z * (1.0 - z), dr * r * (1.0 - r)], axis=1
-            )
-            dgates = np.concatenate([dzr, dn_pre], axis=1)
-            dwx += x[:, ti].T @ dgates
-            dwh[:, : 2 * u] += h_prev.T @ dzr
-            dwh[:, 2 * u :] += rh.T @ dn_pre
-            db += dgates.sum(axis=0)
-            dx[:, ti] = dgates @ wx.T
-            dh_next = dh_prev + dzr @ wh[:, : 2 * u].T
-        return dx, {"wx": dwx, "wh": dwh, "b": db}
+            dh = dh_prev
+        return self._grads(dxh, dw)
 
 
 def _batch_major(hs, return_sequences):

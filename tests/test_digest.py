@@ -1,4 +1,5 @@
-"""The equivalence digest script in tools/: deterministic, and sensitive to a weight."""
+"""The equivalence digest script in tools/: deterministic, sensitive to a weight,
+and its batch-partition and thread-count modes."""
 
 import importlib.util
 import subprocess
@@ -43,3 +44,14 @@ def test_partition_prints_one_spread_per_case_and_the_largest():
     assert lines[-1] == f"max {max(spreads):.3g}"
     # the batch-1 vs batch-256 bound the benchmark gates on
     assert all(0.0 <= s <= 1e-9 for s in spreads)
+
+
+def test_threads_prints_each_differing_check_and_a_count():
+    lines = digest.thread_lines(SUBSET)
+    checks = len(SUBSET) * len(digest.HEADS) * 6
+    differ = lines[:-1]
+    # the BLAS thread count may still move the bytes, so no count is demanded
+    assert lines[-1] == f"differ {len(differ)} of {checks}"
+    every = [line.rsplit(" ", 1)[0] for line in digest.lines(SUBSET)[:-1]]
+    assert set(differ) <= set(every)
+    assert differ == [case for case in every if case in differ]  # in digest order

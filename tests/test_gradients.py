@@ -55,6 +55,12 @@ CASES = [
     ("lstm_sequences", lambda: LSTM(4, return_sequences=True), (7, 3), {}),
     ("gru_last", lambda: GRU(4), (7, 3), {}),
     ("gru_sequences", lambda: GRU(4, return_sequences=True), (7, 3), {}),
+    # one step, and one row: the step loop keeps a block per step and row
+    ("lstm_time1", lambda: LSTM(4), (1, 3), {}),
+    ("gru_time1_sequences", lambda: GRU(4, return_sequences=True), (1, 3), {}),
+    ("lstm_batch1_sequences", lambda: LSTM(4, return_sequences=True), (7, 3),
+     {"batch": 1}),
+    ("gru_batch1", lambda: GRU(4), (7, 3), {"batch": 1}),
     ("bilstm", lambda: Bidirectional(LSTM(3)), (6, 2), {}),
     ("bigru_sequences", lambda: Bidirectional(GRU(3, return_sequences=True)),
      (6, 2), {}),

@@ -54,8 +54,8 @@ def _gru_reference(x, wx, wh, b, return_sequences):
     return np.stack(seq) if return_sequences else h
 
 
-# Without a cache the layers take a separate inference step; ``train=True``
-# runs the caching training step.  Each reference test checks both steps.
+# ``train=True`` runs the step loop with a backward cache, which keeps every
+# step's blocks; without a cache it reuses one.  Each reference test checks both.
 PATHS_AND_BATCHES = [(train, batch) for train in (False, True) for batch in (1, 3)]
 
 
@@ -151,15 +151,16 @@ def test_inference_step_matches_training_step(cell, return_sequences, batch):
     infer = np.asarray(m.forward(x, train=False).array)
     trained = np.asarray(m.forward(x, train=True).array)
     assert infer.shape == trained.shape
-    np.testing.assert_allclose(infer, trained, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(infer, trained)
 
 
 @pytest.mark.parametrize("return_sequences", [False, True])
 @pytest.mark.parametrize("cell", [LSTM, GRU])
 def test_gate_major_inference_matches_training_at_every_batch_size(cell, return_sequences):
-    # The inference step runs [units, batch] states and a [time, gates, batch]
-    # input term, with its own batch-1 product; each size must come back as
-    # the training step's [batch, ...] layout, zero rows included.
+    # One gate-major loop serves both modes, on [units, batch] states, so the
+    # cached and uncached forwards agree bit for bit at every batch size, zero
+    # rows included, and come back batch-major.  The backward of each cache
+    # must give [batch, ...] input and parameter-shaped gradients.
     layer = cell(6, return_sequences=return_sequences)
     m = single_node_model(layer, (9, 4), seed=14)
     for name, p in m.parameters().items():
@@ -168,11 +169,16 @@ def test_gate_major_inference_matches_training_at_every_batch_size(cell, return_
     for batch in (0, 1, 2, 7, 64, 256):
         x = np.random.default_rng(batch).normal(size=(batch, 9, 4))
         infer = layer.forward(x)
-        trained = layer.forward(x, train=True, cache={})
+        cache = {}
+        trained = layer.forward(x, train=True, cache=cache)
         assert infer.shape == trained.shape == (batch, *want)
         assert infer.flags.c_contiguous
-        np.testing.assert_allclose(infer, trained, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(infer, trained)
         assert predict(m, x, batch_size=256).shape == (batch, *want)
+        dx, grads = layer.backward(np.ones_like(trained), cache)
+        assert dx.shape == x.shape and dx.flags.c_contiguous
+        assert {k: g.shape for k, g in grads.items()} == {
+            k: p.shape for k, p in layer.params.items()}
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))

@@ -1,6 +1,6 @@
 """Print SHA-256 digests of what the engine computes, to compare two trees.
 
-    python3 tools/digest.py [--entries NAME ...] [--partition]
+    python3 tools/digest.py [--entries NAME ...] [--partition | --threads]
 
 Run from the repository root; the engine is imported from ``src/`` next to
 this script.  Each registry entry, and YaoQihang with ``attention=True``, is
@@ -23,6 +23,12 @@ on the numpy and BLAS build, so compare runs made on one machine.
 ``|predict at batch 1 - predict at batch 7, 64 and 256|`` over
 ``PARTITION_ROWS`` rows, then the largest of all: how far a row's output
 depends on the rows it is batched with.
+
+``--threads`` runs the digest again in two child processes, one with
+``OPENBLAS_NUM_THREADS=1`` and one with ``2`` (set only in the child's
+environment), and prints each (entry, head, check) whose digests differ
+between the two, then ``differ <n> of <lines>``: how far the bytes depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -43,6 +50,7 @@ from deepseries.train import predict  # noqa: E402
 ROWS = 6
 PARTITION_ROWS = 300  # every batch size below splits them unevenly
 PARTITION_SIZES = (7, 64, 256)
+THREADS = (1, 2)  # OPENBLAS_NUM_THREADS of the two --threads children
 HEADS = {
     "classify": zoo.make_top("classify", classes=3),
     "forecast": zoo.make_top("forecast", horizon=2, features=1),
@@ -115,17 +123,37 @@ def partition_lines(entries=None) -> list[str]:
             + [f"max {max(spreads.values()):.3g}"])
 
 
+def thread_lines(entries=None) -> list[str]:
+    """The (entry, head, check) lines whose digests differ between the
+    ``THREADS`` child runs, then their count."""
+    argv = [sys.executable, os.path.abspath(__file__)]
+    if entries:
+        argv += ["--entries", *entries]
+    runs = []
+    for n in THREADS:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(n)}
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        runs.append([line.rsplit(" ", 1) for line in run.stdout.splitlines()[:-1]])
+    differ = [case for (case, a), (_, b) in zip(*runs) if a != b]
+    return differ + [f"differ {len(differ)} of {len(runs[0])}"]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--entries", nargs="+", metavar="NAME",
                    help="registry names to digest (default: all)")
-    p.add_argument("--partition", action="store_true",
-                   help="print batch-partition spreads instead of digests")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--partition", action="store_true",
+                      help="print batch-partition spreads instead of digests")
+    mode.add_argument("--threads", action="store_true",
+                      help="print the checks whose digests differ between "
+                           "BLAS thread counts 1 and 2")
     args = p.parse_args(argv)
     unknown = sorted(set(args.entries or ()) - set(zoo.names()))
     if unknown:
         p.error(f"unknown entries {unknown}")
-    print("\n".join((partition_lines if args.partition else lines)(args.entries)))
+    show = partition_lines if args.partition else thread_lines if args.threads else lines
+    print("\n".join(show(args.entries)))
     return 0
 
 

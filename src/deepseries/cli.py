@@ -13,7 +13,7 @@ preset when the data comes from a CSV file, the ``--config`` file, then the
 flags.  Each key must be one the task reads.  Every value, from a flag, a
 config line, ``--hyper`` or ``--synth``, is text read by the type of its
 default, so a word setting (``out``, ``csv``, ``column``, ``model``) takes its
-text as given; ``zoo.typed_override`` then checks it against the default.
+text as given; ``zoo.checked_overrides`` then checks it against the default.
 
 Exit codes: 0 ok, 2 usage (a bad flag, config key or value), 3 training
 diverged, 4 data problem, 5 weights file problem.  Every train run writes
@@ -110,6 +110,11 @@ def _read_text(default, text: str):
     return s
 
 
+def _read_texts(texts: dict, defaults: dict) -> dict:
+    """Each text read like its key's default (as text without one)."""
+    return {key: _read_text(defaults.get(key, ""), text) for key, text in texts.items()}
+
+
 def _parse_kv_list(text: str, defaults: dict) -> dict:
     """``a=1,b=2.5,c=x`` into a dict, each value read like its default (text without one)."""
     out = {}
@@ -119,8 +124,8 @@ def _parse_kv_list(text: str, defaults: dict) -> dict:
         if "=" not in part:
             raise ParameterError(f"expected key=value, got {part!r}")
         key, val = (t.strip() for t in part.split("=", 1))
-        out[key] = _read_text(defaults.get(key, ""), val)
-    return out
+        out[key] = val
+    return _read_texts(out, defaults)
 
 
 def _read_config_file(path: str) -> dict:
@@ -145,31 +150,26 @@ def _read_config_file(path: str) -> dict:
 def _resolve(args) -> dict:
     """The run configuration of ``train``/``eval`` as one dict, typed like the task preset.
 
-    Task preset < CSV preset < config file < flags.  ``hyper`` stays the
-    ``key=value`` text of the config file joined with that of the flag, so
-    the flag's overrides win; ``_prepare`` reads it against the model.
-    ``eval`` has no default ``out``: it writes ``metrics.txt`` only where
-    ``out`` is given.
+    Task preset < CSV preset < config file < flags.  Each layer is checked
+    on its own, so a bad config line fails even where a flag overrides it.
+    ``hyper`` stays the ``key=value`` text of the config file joined with
+    that of the flag, so the flag's overrides win; ``_prepare`` reads it
+    against the model.  ``eval`` has no default ``out``: it writes
+    ``metrics.txt`` only where ``out`` is given.
     """
-    preset = _TASK_PRESETS[args.task]
+    preset = {**_TASK_PRESETS[args.task], "hyper": ""}
     if args.command == "eval":
-        preset = {**preset, "out": ""}
+        preset["out"] = ""
     file_cfg = _read_config_file(args.config) if args.config else {}
     flags = {k: v for k, v in vars(args).items()
              if v is not None and k not in ("command", "task", "config", "weights")}
-    hyper = ",".join(layer.pop("hyper", "") for layer in (file_cfg, flags))
-    given = {}
-    for layer in (file_cfg, flags):
-        for key, text in layer.items():
-            if key not in preset:
-                raise ParameterError(f"{key!r} is not a {args.task} setting; "
-                                     f"allowed: {sorted([*preset, 'hyper'])}")
-            given[key] = zoo.typed_override("setting", key, preset[key],
-                                            _read_text(preset[key], text))
+    layers = [zoo.checked_overrides(args.task, "setting", preset, _read_texts(layer, preset))
+              for layer in (file_cfg, flags)]
+    given = {**layers[0], **layers[1]}
     if given.get("csv") and "synth" in given:
         raise ParameterError("give either --csv or --synth, not both")
     cfg = {**preset, **(_CSV_PRESETS[args.task] if given.get("csv") else {}), **given,
-           "task": args.task, "hyper": hyper}
+           "task": args.task, "hyper": ",".join(layer.get("hyper", "") for layer in layers)}
     if not cfg["model"]:
         raise ParameterError("--model is required")
     if given.get("out") == "":
@@ -185,12 +185,8 @@ def _synth_options(cfg: dict) -> dict:
         raise ParameterError(
             f"{cfg['task']} preset expects synth {family!r}, got {name.strip()!r}")
     defaults = {"length": cfg["window"], **_SYNTH_OPTIONS[family], "seed": cfg["seed"]}
-    given = _parse_kv_list(rest, defaults)
-    unknown = sorted(set(given) - set(defaults))
-    if unknown:
-        raise ParameterError(f"unknown {family} options {unknown}")
-    return {key: zoo.typed_override("synth option", key, default, given.get(key, default))
-            for key, default in defaults.items()}
+    return {**defaults, **zoo.checked_overrides(family, "option", defaults,
+                                                _parse_kv_list(rest, defaults))}
 
 
 # -- dataset assembly per task ---------------------------------------------------

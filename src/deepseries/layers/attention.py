@@ -56,41 +56,34 @@ class RTABlock(Subgraph):
 
     def __init__(self, filters: int, kernel: int = 3, pool_window: int = 2):
         super().__init__()
+        for name, value in (("filters", filters), ("kernel", kernel), ("pool_window", pool_window)):
+            if value < 1:
+                raise ParameterError(f"RTABlock {name} must be >= 1, got {value}")
         self.filters = int(filters)
+        self.kernel = int(kernel)
         self.pool_window = int(pool_window)
-        self.conv1 = Conv1D(filters, kernel, padding="same")
-        self.bn1 = BatchNorm1D()
-        self.conv2 = Conv1D(filters, kernel, padding="same")
-        self.bn2 = BatchNorm1D()
-        self.pool = Pool1D(pool_window)
-        self.conv_a = Conv1D(filters, kernel, padding="same")
-        self.bn_a = BatchNorm1D()
-
-    @property
-    def conv_s(self) -> Conv1D | None:
-        short = self.nodes.get("short")
-        return None if short is None else short.layer
 
     def _nodes(self, in_shape):
         t, ch = in_shape
+        f, k = self.filters, self.kernel
         nodes = [
-            NodeSpec("trunk1", self.conv1, ["x"]),
-            NodeSpec("trunk1_bn", self.bn1, ["trunk1"]),
+            NodeSpec("trunk1", Conv1D(f, k, padding="same"), ["x"]),
+            NodeSpec("trunk1_bn", BatchNorm1D(), ["trunk1"]),
             NodeSpec("trunk1_relu", ActivationLayer("relu"), ["trunk1_bn"]),
-            NodeSpec("trunk2", self.conv2, ["trunk1_relu"]),
-            NodeSpec("trunk2_bn", self.bn2, ["trunk2"]),
+            NodeSpec("trunk2", Conv1D(f, k, padding="same"), ["trunk1_relu"]),
+            NodeSpec("trunk2_bn", BatchNorm1D(), ["trunk2"]),
             NodeSpec("trunk", ActivationLayer("relu"), ["trunk2_bn"]),
-            NodeSpec("pool", self.pool, ["x"]),
-            NodeSpec("att", self.conv_a, ["pool"]),
-            NodeSpec("att_bn", self.bn_a, ["att"]),
+            NodeSpec("pool", Pool1D(self.pool_window), ["x"]),
+            NodeSpec("att", Conv1D(f, k, padding="same"), ["pool"]),
+            NodeSpec("att_bn", BatchNorm1D(), ["att"]),
             NodeSpec("att_up", Upsample1D(self.pool_window), ["att_bn"]),
             NodeSpec("att_pad", PadTime(t), ["att_up"]),
             NodeSpec("gate", ActivationLayer("sigmoid"), ["att_pad"]),
             NodeSpec("gated", Multiply(), ["trunk", "gate"]),
         ]
         shortcut = "x"
-        if ch != self.filters:
-            nodes.append(NodeSpec("short", Conv1D(self.filters, 1), ["x"]))
+        if ch != f:
+            nodes.append(NodeSpec("short", Conv1D(f, 1), ["x"]))
             shortcut = "short"
         return nodes + [NodeSpec("out", Add(3), ["trunk", "gated", shortcut])]
 

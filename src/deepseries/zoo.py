@@ -11,7 +11,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import ParameterError, RegistryError, ShapeError
 from .graph import GraphBuilder, Model
@@ -79,19 +79,10 @@ class ArchitectureDescriptor:
     citation: str = ""
 
 
-@dataclass(frozen=True)
-class TopModule:
-    """A task head: an ordered list of layer factories appended to a graph."""
-
-    spec: tuple
-
-    def instantiate(self):
-        return [(suffix, factory()) for suffix, factory in self.spec]
-
-
 def make_top(kind: str, *, horizon: int = 0, features: int = 0, classes: int = 0,
-             steps: int = 0, dropout: float = 0.2) -> TopModule:
-    """Describe a task head.
+             steps: int = 0, dropout: float = 0.2) -> tuple:
+    """A task head: ``(suffix, factory)`` pairs, in order, whose layers
+    :func:`build_model` appends as ``top_<suffix>``, fresh on every build.
 
     * ``forecast``: flatten, dense(horizon*features, relu), reshape.
     * ``classify``: flatten, dropout, dense(20, relu), dense(10, relu),
@@ -102,33 +93,33 @@ def make_top(kind: str, *, horizon: int = 0, features: int = 0, classes: int = 0
     if kind == "forecast":
         if horizon < 1 or features < 1:
             raise ParameterError("forecast head needs horizon >= 1 and features >= 1")
-        return TopModule((
+        return (
             ("flatten", Flatten),
             ("dense", lambda: Dense(horizon * features, activation="relu")),
             ("reshape", lambda: Reshape((horizon, features))),
-        ))
+        )
     if kind == "classify":
         if classes < 2:
             raise ParameterError("classify head needs classes >= 2")
         rate = float(dropout)
-        return TopModule((
+        return (
             ("flatten", Flatten),
             ("dropout", lambda: Dropout(rate)),
             ("dense1", lambda: Dense(20, activation="relu")),
             ("dense2", lambda: Dense(10, activation="relu")),
             ("out", lambda: Dense(classes, activation="softmax")),
-        ))
+        )
     if kind == "anomaly":
         if steps < 1 or features < 1:
             raise ParameterError("anomaly head needs steps >= 1 and features >= 1")
-        return TopModule((
+        return (
             ("flatten", Flatten),
             ("dense1", lambda: Dense(32, activation="relu")),
             ("dense2", lambda: Dense(64, activation="relu")),
             ("dense3", lambda: Dense(features, activation="relu")),
             ("dense4", lambda: Dense(steps * features)),
             ("reshape", lambda: Reshape((steps, features))),
-        ))
+        )
     raise ParameterError(f"unknown head kind {kind!r}")
 
 
@@ -510,21 +501,26 @@ def typed_override(what: str, key: str, default, val):
     return values if is_list else values[0]
 
 
-def _merge_hyper(desc: ArchitectureDescriptor, overrides: dict) -> dict:
-    h = dict(desc.default_hyper)
+def checked_overrides(owner: str, kind: str, defaults: dict, overrides: dict) -> dict:
+    """``overrides`` of ``defaults``, each converted by :func:`typed_override`.
+
+    A key with no default raises ``ParameterError``, read ``"<owner> has no
+    <kind> '<key>'; allowed: [...]"``; type errors read ``"<owner> <kind>
+    '<key>' ..."``.
+    """
+    checked = {}
     for key, val in overrides.items():
-        if key not in h:
+        if key not in defaults:
             raise ParameterError(
-                f"{desc.name} has no hyperparameter {key!r}; allowed: {sorted(h)}"
-            )
-        h[key] = typed_override(f"{desc.name} hyperparameter", key, h[key], val)
-    return h
+                f"{owner} has no {kind} {key!r}; allowed: {sorted(defaults)}")
+        checked[key] = typed_override(f"{owner} {kind}", key, defaults[key], val)
+    return checked
 
 
-def _assemble(name: str, input_shape, hyper: dict, top: Optional[TopModule],
-              seed: int) -> Model:
+def _assemble(name: str, input_shape, hyper: dict, top: tuple, seed: int) -> Model:
     desc = get_descriptor(name)
-    h = _merge_hyper(desc, hyper)
+    h = {**desc.default_hyper,
+         **checked_overrides(name, "hyperparameter", desc.default_hyper, hyper)}
     shape = tuple(int(s) for s in input_shape)
     if len(shape) != 2 or min(shape) < 1:
         raise ShapeError(f"input_shape must be [time, channels], got {input_shape}")
@@ -534,16 +530,15 @@ def _assemble(name: str, input_shape, hyper: dict, top: Optional[TopModule],
     else:
         inputs = [b.input(f"x{i + 1}", shape) for i in range(desc.multi_input)]
     out = _REGISTRY[name][1](b, inputs, h)
-    if top is not None:
-        for suffix, layer in top.instantiate():
-            out = b.add(f"top_{suffix}", layer, out)
+    for suffix, factory in top:
+        out = b.add(f"top_{suffix}", factory(), out)
     model = b.build(output=out, seed=seed)
     model.hyper = h
     return model
 
 
-def build_model(name: str, input_shape=(1000, 1), top: Optional[TopModule] = None,
-                seed: int = 0, **hyper) -> Model:
+def build_model(name: str, input_shape=(1000, 1), top: tuple = (), seed: int = 0,
+                **hyper) -> Model:
     """Build a registry architecture, optionally with a task head appended.
 
     Without a head the model ends at the embedding output.  On a too-short
@@ -569,7 +564,7 @@ def minimum_input_length(name: str, channels: int = 1, **hyper) -> int:
     """Smallest time extent the architecture accepts, found by probing."""
     def fits(t: int) -> bool:
         try:
-            _assemble(name, (t, channels), dict(hyper), None, seed=0)
+            _assemble(name, (t, channels), hyper, (), seed=0)
             return True
         except ShapeError:
             return False
@@ -619,8 +614,8 @@ class AutoencoderPair:
     encoder_params: tuple
 
 
-def build_autoencoder_pair(input_shape=(1000, 1), top: Optional[TopModule] = None,
-                           seed: int = 0, **hyper) -> AutoencoderPair:
+def build_autoencoder_pair(input_shape=(1000, 1), top: tuple = (), seed: int = 0,
+                           **hyper) -> AutoencoderPair:
     """Reconstruction and classification graphs for the encoder+LSTM entry.
 
     The autoencoder mirrors the encoder with conv/upsample stages back to the
@@ -629,7 +624,8 @@ def build_autoencoder_pair(input_shape=(1000, 1), top: Optional[TopModule] = Non
     moves the classifier's encoder weights because the layer instances are
     shared.
     """
-    h = _merge_hyper(get_descriptor("YildirimOzal"), hyper)
+    default = get_descriptor("YildirimOzal").default_hyper
+    h = {**default, **checked_overrides("YildirimOzal", "hyperparameter", default, hyper)}
     t = int(input_shape[0])
     down = h["pool"] * h["pool"]
     if down and t % down:  # a zero pool is left for Pool1D to reject

@@ -501,6 +501,39 @@ def test_bad_settings_exit_2(tmp_path, capsys, monkeypatch, task, flags, config)
     assert not (tmp_path / "run").exists()
 
 
+TRAIN = ["train", "--task", "forecast", "--model", "ExampleModel"]
+
+
+@pytest.mark.parametrize("argv,config,owner,kind,key,defaults", [
+    (TRAIN + FAST_SINE, "windw = 30",
+     "forecast", "setting", "windw", {**cli._TASK_PRESETS["forecast"], "hyper": ""}),
+    (TRAIN + FAST_SINE + ["--steps", "3"], None,
+     "forecast", "setting", "steps", {**cli._TASK_PRESETS["forecast"], "hyper": ""}),
+    (TRAIN + ["--synth", "sine:bogus=1", "--window", "20"], None,
+     "sine", "option", "bogus", {"seed": 0, "length": 0, **cli._SYNTH_OPTIONS["sine"]}),
+    (["describe", "ExampleModel", "--hyper", "banana=1"], None,
+     "ExampleModel", "hyperparameter", "banana", zoo.get_descriptor("ExampleModel").default_hyper),
+    (None, None,
+     "ExampleModel", "hyperparameter", "banana", zoo.get_descriptor("ExampleModel").default_hyper),
+], ids=["config_line", "flag", "synth", "describe_hyper", "library_hyper"])
+def test_an_unknown_key_fails_alike_on_every_path(tmp_path, capsys, monkeypatch, argv, config,
+                                                  owner, kind, key, defaults):
+    # one check names the owner and the kind and lists the allowed keys
+    message = f"{owner} has no {kind} {key!r}; allowed: {sorted(defaults)}"
+    if argv is None:
+        with pytest.raises(ParameterError) as exc:
+            zoo.build_model("ExampleModel", (64, 1), **{key: 1})
+        assert str(exc.value) == message
+        return
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv = argv + ["--config", "run.cfg"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_word_settings_take_their_text_in_a_config_file(tmp_path, capsys):
     # a word that holds a "+" or reads as a number used to exit 2 from a config line
     csv_path = tmp_path / "s.csv"

@@ -1,10 +1,13 @@
 """The equivalence digest script in tools/: deterministic, sensitive to a weight,
-and its batch-partition and thread-count modes."""
+its CLI lines, and its batch-partition and thread-count modes."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from deepseries import zoo
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "digest.py"
@@ -13,17 +16,35 @@ digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(digest)
 
 SUBSET = ["ShiHaotian", "ExampleModel"]  # registry order; three inputs, then one
+# the subset's CLI lines: list, two describes, and the three ExampleModel runs
+CLI_LINES = 1 + len(SUBSET) + 3 * len(digest.CLI_ARTIFACTS)
 
 
 def test_digest_lines_repeat_in_and_across_processes():
     lines = digest.lines(SUBSET)
-    assert len(lines) == len(SUBSET) * len(digest.HEADS) * 6 + 1
+    assert len(lines) == len(SUBSET) * len(digest.HEADS) * 6 + CLI_LINES + 1
     assert lines[0].startswith("ShiHaotian classify predict_b1 ")
     assert lines[-1].startswith("total ")
     assert digest.lines(SUBSET) == lines
     run = subprocess.run([sys.executable, str(SCRIPT), "--entries", *SUBSET],
                          capture_output=True, text=True, check=True)
     assert run.stdout.splitlines() == lines
+
+
+def test_cli_lines_name_each_output_and_its_digest():
+    lines = digest.cli_lines(SUBSET)
+    assert [line.rsplit(" ", 1)[0] for line in lines] == [
+        "cli list stdout",
+        "cli describe ShiHaotian stdout",
+        "cli describe ExampleModel stdout",
+        *(f"cli train {task} ExampleModel {name}"
+          for task in ("forecast", "classify", "anomaly") for name in digest.CLI_ARTIFACTS),
+    ]
+    assert all(re.fullmatch("[0-9a-f]{64}", line.rsplit(" ", 1)[1]) for line in lines)
+    assert len(set(lines)) == len(lines)
+    every = [line.rsplit(" ", 1)[0] for line in digest.cli_lines()]
+    assert len(every) == 1 + len(zoo.names()) + len(digest.CLI_RUNS) * len(digest.CLI_ARTIFACTS)
+    assert "cli train forecast FuJiangmeng manifest.txt" in every
 
 
 def test_changing_one_weight_changes_the_gradient_line():
@@ -48,7 +69,7 @@ def test_partition_prints_one_spread_per_case_and_the_largest():
 
 def test_threads_prints_each_differing_check_and_a_count():
     lines = digest.thread_lines(SUBSET)
-    checks = len(SUBSET) * len(digest.HEADS) * 6
+    checks = len(SUBSET) * len(digest.HEADS) * 6 + CLI_LINES
     differ = lines[:-1]
     # the BLAS thread count may still move the bytes, so no count is demanded
     assert lines[-1] == f"differ {len(differ)} of {checks}"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from deepseries.errors import ParameterError
 from deepseries.layers import RTABlock, SEBlock, SpatialTemporalAttention, TanhAttention
 from conftest import single_node_model
 
@@ -33,6 +34,10 @@ def test_se_block_preserves_shape():
     assert m.output_shape == (6, 8)
 
 
+def _run(L, node, x):
+    return np.asarray(L.nodes[node].layer.forward(x))
+
+
 def test_rta_block_composition_equation():
     # out = trunk * (1 + gate) + shortcut, recomputed from the sublayers
     m = single_node_model(RTABlock(3, 3, 2), (5, 2), seed=4)
@@ -41,28 +46,22 @@ def test_rta_block_composition_equation():
     x = rng.normal(size=(2, 5, 2))
     out = np.asarray(m.forward(x).array)
 
-    t1 = np.asarray(L.conv1.forward(x))
-    t1 = np.asarray(L.bn1.forward(t1))
-    t1 = np.maximum(t1, 0.0)
-    t2 = np.asarray(L.conv2.forward(t1))
-    t2 = np.asarray(L.bn2.forward(t2))
-    trunk = np.maximum(t2, 0.0)
+    t1 = np.maximum(_run(L, "trunk1_bn", _run(L, "trunk1", x)), 0.0)
+    trunk = np.maximum(_run(L, "trunk2_bn", _run(L, "trunk2", t1)), 0.0)
 
-    a = np.asarray(L.pool.forward(x))
-    a = np.asarray(L.conv_a.forward(a))
-    a = np.asarray(L.bn_a.forward(a))
+    a = _run(L, "att_bn", _run(L, "att", _run(L, "pool", x)))
     a = np.repeat(a, 2, axis=1)  # upsample, then zero-pad to the input length
     a = np.pad(a, ((0, 0), (0, 5 - a.shape[1]), (0, 0)))
     gate = _sigmoid(a)
 
-    shortcut = np.asarray(L.conv_s.forward(x))
+    shortcut = _run(L, "short", x)
     np.testing.assert_allclose(out, trunk * (1.0 + gate) + shortcut, rtol=1e-10)
 
 
 def test_rta_block_identity_shortcut_when_channels_match():
     m = single_node_model(RTABlock(2, 3, 2), (6, 2), seed=5)
     L = m.nodes["L"].layer
-    assert L.conv_s is None
+    assert "short" not in L.nodes
     assert not any(k.startswith("short_") for k in L.params)
     assert m.output_shape == (6, 2)
 
@@ -76,9 +75,17 @@ def test_rta_block_gate_reaches_zero_limit():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(2, 6, 2))
     out = np.asarray(m.forward(x).array)
-    t1 = np.maximum(np.asarray(L.bn1.forward(np.asarray(L.conv1.forward(x)))), 0.0)
-    trunk = np.maximum(np.asarray(L.bn2.forward(np.asarray(L.conv2.forward(t1)))), 0.0)
+    t1 = np.maximum(_run(L, "trunk1_bn", _run(L, "trunk1", x)), 0.0)
+    trunk = np.maximum(_run(L, "trunk2_bn", _run(L, "trunk2", t1)), 0.0)
     np.testing.assert_allclose(out, trunk + x, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("args, name", [((0,), "filters"), ((4, 0), "kernel"),
+                                        ((4, 3, 0), "pool_window")],
+                         ids=["filters", "kernel", "pool_window"])
+def test_rta_block_checks_its_arguments_at_construction(args, name):
+    with pytest.raises(ParameterError, match=f"RTABlock {name} must be >= 1, got 0"):
+        RTABlock(*args)
 
 
 def test_spatial_temporal_attention_zero_params_quarter_signal():

@@ -367,11 +367,12 @@ def test_head_parameter_validation():
         make_top("segment")
 
 
-def test_head_instantiate_gives_fresh_layers():
+def test_head_gives_fresh_layers_on_every_build():
     top = make_top("classify", classes=3)
-    a = dict(top.instantiate())
-    b = dict(top.instantiate())
-    assert all(a[k] is not b[k] for k in a)
+    a, b = (build_model("ExampleModel", (64, 1), top=top) for _ in range(2))
+    heads = [name for name in a.order if name.startswith("top_")]
+    assert heads == [f"top_{suffix}" for suffix, _ in top]
+    assert all(a.nodes[n].layer is not b.nodes[n].layer for n in heads)
 
 
 # ------------------------------------------------------- autoencoder pair

@@ -15,6 +15,16 @@ under each head.  One line per (entry, head, check) gives the SHA-256 of:
   gradient, every parameter gradient by name, then the gradient at each
   graph input.
 
+Then one ``cli ...`` line per CLI output gives the SHA-256 of:
+
+* ``cli list stdout``: what ``deepseries list`` prints;
+* ``cli describe <entry> stdout``: what ``deepseries describe`` prints for
+  each entry;
+* ``cli train <task> <model> <artifact>``: each of ``CLI_ARTIFACTS`` from
+  the short ``train`` runs of ``CLI_RUNS``, one per task plus a FuJiangmeng
+  forecast, all written to ``--out run`` in one temporary directory, since
+  ``manifest.txt`` records the path.
+
 The last line is the SHA-256 of all lines before it.  Run the script on two
 trees and diff the outputs: equal lines mean equal bytes.  The values depend
 on the numpy and BLAS build, so compare runs made on one machine.
@@ -34,17 +44,20 @@ the BLAS thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from deepseries import zoo  # noqa: E402
+from deepseries import cli, zoo  # noqa: E402
 from deepseries.train import predict  # noqa: E402
 
 ROWS = 6
@@ -56,6 +69,13 @@ HEADS = {
     "forecast": zoo.make_top("forecast", horizon=2, features=1),
 }
 VARIANTS = [(name, {}) for name in zoo.names()] + [("YaoQihang", {"attention": True})]
+CLI_RUNS = [  # (task, model, flags) of each digested `train` run
+    ("forecast", "ExampleModel", "--synth sine:length=400 --window 20 --horizon 2"),
+    ("classify", "ExampleModel", "--synth segments:classes=3,count=20 --window 32"),
+    ("anomaly", "ExampleModel", "--synth traffic:length=800"),
+    ("forecast", "FuJiangmeng", "--synth sine:length=400 --window 20 --horizon 2"),
+]
+CLI_ARTIFACTS = ("weights.dsw", "history.txt", "metrics.txt", "manifest.txt")
 
 
 def _hash(*named: tuple[str, np.ndarray]) -> str:
@@ -65,6 +85,10 @@ def _hash(*named: tuple[str, np.ndarray]) -> str:
         h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def model_digests(model, x: np.ndarray) -> dict[str, str]:
@@ -81,6 +105,38 @@ def model_digests(model, x: np.ndarray) -> dict[str, str]:
         "param_grads": _hash(*grads.items()),
         "input_grads": _hash(*model.last_input_grads.items()),
     }
+
+
+def _cli(*argv: str) -> bytes:
+    """What one CLI call prints; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"deepseries {' '.join(argv)} exited {code}")
+    return out.getvalue().encode()
+
+
+def cli_lines(entries=None) -> list[str]:
+    """The ``cli ...`` lines; ``entries`` limits the ``describe`` lines and
+    the runs to those entries."""
+    out = [f"cli list stdout {_sha(_cli('list'))}"]
+    out += [f"cli describe {name} stdout {_sha(_cli('describe', name))}"
+            for name in zoo.names() if entries is None or name in entries]
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for task, model, flags in CLI_RUNS:
+                if entries is None or model in entries:
+                    _cli("train", "--task", task, "--model", model, "--epochs", "2",
+                         "--out", "run", *flags.split())
+                    for name in CLI_ARTIFACTS:
+                        with open(os.path.join("run", name), "rb") as fh:
+                            out.append(f"cli train {task} {model} {name} {_sha(fh.read())}")
+        finally:
+            os.chdir(home)
+    return out
 
 
 def partition_spread(model, x: np.ndarray) -> float:
@@ -112,7 +168,8 @@ def lines(entries=None) -> list[str]:
     for case, name, hyper, head in _cases(entries):
         digests = model_digests(*build(name, hyper, head))
         out += [f"{case} {check} {d}" for check, d in digests.items()]
-    return out + [f"total {hashlib.sha256(chr(10).join(out).encode()).hexdigest()}"]
+    out += cli_lines(entries)
+    return out + [f"total {_sha(chr(10).join(out).encode())}"]
 
 
 def partition_lines(entries=None) -> list[str]:

@@ -34,12 +34,8 @@ import numpy as np
 
 from . import __version__, data, train, zoo
 from .errors import (
-    ContractError,
     DataError,
-    DegenerateBatchError,
-    DegenerateSegmentError,
     FormatError,
-    MetricUndefinedError,
     ParameterError,
     RegistryError,
     ShapeError,
@@ -54,15 +50,7 @@ EXIT_WEIGHTS = 5
 
 _USAGE_ERRORS = (RegistryError, ParameterError, ShapeError)
 # A weights file's FormatError or OSError is raised as _WeightsProblem (exit 5).
-_DATA_ERRORS = (
-    DataError,
-    DegenerateBatchError,
-    DegenerateSegmentError,
-    ContractError,
-    MetricUndefinedError,
-    FormatError,
-    OSError,
-)
+_DATA_ERRORS = (DataError, FormatError, OSError)
 
 # The keys each task reads, with their preset values ("" is a string not given).
 _SHARED = {"model": "", "csv": "", "seed": 0, "out": "run", "batch_size": 256,
@@ -251,7 +239,6 @@ def _anomaly_sets(cfg: dict):
         series, labels = series.array, labels.array
     window, steps = cfg["window"], cfg["steps"]
     ds, anom, clean = data.anomaly_windows(series, labels, window, steps, stride=steps)
-    anom, clean = np.asarray(anom).astype(bool), np.asarray(clean).astype(bool)
     # Clean windows from the leading 70% of the stream train the forecaster,
     # clean windows from the next 20% validate it, and every window of the
     # stream is scored (the anomalous ones were never trained on).
@@ -338,13 +325,13 @@ def _test_metrics(cfg: dict, model, test) -> list[tuple[str, float]]:
         te, te_anom = test
         k = int(te_anom.sum())
         if k == 0 or k == te.n:
-            raise MetricUndefinedError(
-                "test part has a single class; cannot score anomalies")
+            raise DataError("test part has a single class; cannot score anomalies")
         scores, labels, score = data.anomaly_harness(model, te, te_anom, top_k=k)
         return [("auc", score), ("top_k", float(k))]
     pred = train.predict(model, test.inputs, batch_size=cfg["batch_size"])
-    metric = "mae" if cfg["task"] == "forecast" else "accuracy"
-    return [(metric, train.evaluate(metric, pred, test.targets))]
+    if cfg["task"] == "forecast":
+        return [("mae", train.mean_absolute_error(pred, test.targets))]
+    return [("accuracy", train.accuracy(pred, test.targets))]
 
 
 def cmd_train(args) -> int:

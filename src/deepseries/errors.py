@@ -26,22 +26,22 @@ class FormatError(ValueError):
 
 
 class DataError(ValueError):
-    """A dataset is empty, too short, or otherwise unusable."""
+    """A dataset is empty, too short, or otherwise unusable (the four below narrow it)."""
 
 
-class DegenerateBatchError(ValueError):
+class DegenerateBatchError(DataError):
     """Batch statistics were requested on a batch of fewer than two samples."""
 
 
-class DegenerateSegmentError(ValueError):
+class DegenerateSegmentError(DataError):
     """Per-segment normalization hit a constant (zero variance) segment."""
 
 
-class ContractError(ValueError):
+class ContractError(DataError):
     """An input violates a documented numeric contract (e.g. rows not summing to 1)."""
 
 
-class MetricUndefinedError(ValueError):
+class MetricUndefinedError(DataError):
     """A metric has no defined value on the given inputs (e.g. AUC with one class)."""
 
 

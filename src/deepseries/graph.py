@@ -10,6 +10,7 @@ layer's own parameter order), which the weights file relies on.
 from __future__ import annotations
 
 import io
+import itertools
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -152,26 +153,23 @@ class Model:
         """
         entries = read_records(WEIGHTS_MAGIC, source)
         want = self.state()
-        got_names = list(entries)
-        want_names = list(want)
-        for i in range(max(len(got_names), len(want_names))):
-            if i >= len(got_names):
-                raise FormatError(f"weights file is missing parameter {want_names[i]!r}")
-            if i >= len(want_names):
-                raise FormatError(f"weights file has extra parameter {got_names[i]!r}")
-            if got_names[i] != want_names[i]:
+        for i, (name, expected) in enumerate(itertools.zip_longest(entries, want)):
+            if name is None:
+                raise FormatError(f"weights file is missing parameter {expected!r}")
+            if expected is None:
+                raise FormatError(f"weights file has extra parameter {name!r}")
+            if name != expected:
                 raise FormatError(
-                    f"manifest mismatch at entry {i}: file has {got_names[i]!r}, "
-                    f"model expects {want_names[i]!r}"
+                    f"manifest mismatch at entry {i}: file has {name!r}, "
+                    f"model expects {expected!r}"
                 )
-            if entries[got_names[i]].shape != want[want_names[i]].shape:
+            if entries[name].shape != want[name].shape:
                 raise FormatError(
-                    f"shape mismatch for {got_names[i]!r}: file has "
-                    f"{entries[got_names[i]].shape}, model expects "
-                    f"{want[want_names[i]].shape}"
+                    f"shape mismatch for {name!r}: file has "
+                    f"{entries[name].shape}, model expects {want[name].shape}"
                 )
-            if not np.isfinite(entries[got_names[i]]).all():
-                raise FormatError(f"entry {got_names[i]!r} holds a non-finite value")
+            if not np.isfinite(entries[name]).all():
+                raise FormatError(f"entry {name!r} holds a non-finite value")
         for name, arr in entries.items():
             want[name][...] = arr.astype(np.float64)
 

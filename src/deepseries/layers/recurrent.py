@@ -295,11 +295,9 @@ class Bidirectional(Subgraph):
     def __init__(self, inner: _Recurrent):
         if not isinstance(inner, _Recurrent):
             raise ParameterError("bidirectional wraps an LSTM or GRU layer")
-        self.fwd = inner
-        self.bwd = type(inner)(inner.units, inner.return_sequences)
-        nodes = [NodeSpec("fwd", self.fwd, ["x"]),
+        nodes = [NodeSpec("fwd", inner, ["x"]),
                  NodeSpec("rev", ReverseTime(), ["x"]),
-                 NodeSpec("bwd", self.bwd, ["rev"])]
+                 NodeSpec("bwd", type(inner)(inner.units, inner.return_sequences), ["rev"])]
         if inner.return_sequences:
             nodes.append(NodeSpec("bwd_rev", ReverseTime(), ["bwd"]))
         nodes.append(NodeSpec("cat", Concat(2), ["fwd", nodes[-1].name]))

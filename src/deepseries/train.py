@@ -189,10 +189,6 @@ def predict(model: Model, inputs, batch_size: int = 256) -> np.ndarray:
     return np.concatenate(outs, axis=0)
 
 
-def _dataset_loss(model: Model, kind: str, inputs, targets, batch_size: int) -> float:
-    return loss_and_grad(kind, predict(model, inputs, batch_size), targets)[0]
-
-
 def fit(model: Model, train_set, val_set, config: TrainConfig,
         frozen: Iterable[str] = ()) -> History:
     """Minibatch training with seeded shuffling and early stopping.
@@ -230,7 +226,7 @@ def fit(model: Model, train_set, val_set, config: TrainConfig,
             opt.step(grads)
             total += val * len(sel)
         train_loss = total / n
-        val_loss = _dataset_loss(model, config.loss, vx, vy, config.batch_size)
+        val_loss = loss_and_grad(config.loss, predict(model, vx, config.batch_size), vy)[0]
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(
                 f"validation loss became non-finite at epoch {epoch}", epoch
@@ -324,13 +320,3 @@ def auc(scores, labels) -> float:
     ranks[order] = (first + 0.5 * (count + 1))[tie]
     r_pos = ranks[pos].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def evaluate(kind: str, predictions, targets) -> float:
-    if kind == "accuracy":
-        return accuracy(predictions, targets)
-    if kind == "mae":
-        return mean_absolute_error(predictions, targets)
-    if kind == "auc":
-        return auc(predictions, targets)
-    raise ParameterError(f"unknown metric {kind!r}")

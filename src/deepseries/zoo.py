@@ -624,16 +624,13 @@ def build_autoencoder_pair(input_shape=(1000, 1), top: tuple = (), seed: int = 0
     moves the classifier's encoder weights because the layer instances are
     shared.
     """
-    default = get_descriptor("YildirimOzal").default_hyper
-    h = {**default, **checked_overrides("YildirimOzal", "hyperparameter", default, hyper)}
-    t = int(input_shape[0])
-    down = h["pool"] * h["pool"]
-    if down and t % down:  # a zero pool is left for Pool1D to reject
-        raise ShapeError(
-            f"autoencoder mirror needs time divisible by {down}, got {t}"
-        )
     classifier = build_model("YildirimOzal", input_shape, top=top, seed=seed, **hyper)
-    shape = classifier.input_shapes["x"]
+    h, shape = classifier.hyper, classifier.input_shapes["x"]
+    down = h["pool"] * h["pool"]  # the build has rejected a zero pool
+    if shape[0] % down:
+        raise ShapeError(
+            f"autoencoder mirror needs time divisible by {down}, got {shape[0]}"
+        )
 
     # The encoder nodes lead both graphs, so the classifier build drew their
     # weights from the same seed children an autoencoder build would use.

@@ -11,9 +11,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from deepseries import cli, zoo
+from deepseries import cli, train, zoo
 from deepseries.cli import main
-from deepseries.errors import ParameterError
+from deepseries.errors import (
+    ContractError,
+    DataError,
+    DegenerateBatchError,
+    DegenerateSegmentError,
+    MetricUndefinedError,
+    ParameterError,
+)
 
 
 def run_cli(argv, capsys):
@@ -71,6 +78,18 @@ def test_describe_takes_a_one_value_list(capsys):
     code, out, _ = run_cli(["describe", "FuJiangmeng", "--hyper", "filters=32"], capsys)
     assert code == 0
     assert "hyper.filters: [32]" in out.splitlines()
+
+
+def test_describe_reads_a_bool_hyper(capsys):
+    code, out, _ = run_cli(["describe", "YaoQihang", "--hyper", "attention=true"], capsys)
+    assert code == 0
+    assert {"hyper.attention: True", "attention: 1"} <= set(out.splitlines())
+
+
+def test_describe_rejects_a_hyper_without_a_value(capsys):
+    code, _, err = run_cli(["describe", "ExampleModel", "--hyper", "units"], capsys)
+    assert code == 2
+    assert err == "error: expected key=value, got 'units'\n"
 
 
 @pytest.mark.parametrize("text", ["32+", "+", "1++2"])
@@ -714,6 +733,80 @@ def test_data_problems_exit_4(tmp_path, capsys):
         capsys,
     )
     assert code == 4  # far too short to window
+
+
+@pytest.mark.parametrize("task, header, rows, source, message", [
+    ("classify", "label", ["0", "1"] * 6, "csv",
+     "classify CSV needs feature columns plus a final label column"),
+    ("classify", "f0,f1,label", [f"{i},{-i},0" for i in range(12)], "csv",
+     "classify needs at least two classes"),
+    ("anomaly", "load", [f"{np.sin(i / 7):.4f}" for i in range(400)], "csv",
+     "anomaly CSV needs feature columns plus a final 0/1 label column"),
+    ("anomaly", None, None, "traffic:length=100",
+     "not enough clean windows to train on"),
+], ids=["classify_one_column", "classify_one_class", "anomaly_one_column",
+        "anomaly_few_clean_windows"])
+def test_unusable_task_data_exits_4(tmp_path, capsys, task, header, rows, source, message):
+    if source == "csv":
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        data_flags = ["--csv", str(path), "--window", "16"]
+    else:
+        data_flags = ["--synth", source]
+    code, _, err = run_cli(["train", "--task", task, "--model", "ExampleModel", *data_flags,
+                            "--epochs", "1", "--out", str(tmp_path / "x")], capsys)
+    assert code == 4
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def _constant_segment(tmp_path, monkeypatch):
+    # a segment of one value has no spread to z-score by
+    path = tmp_path / "segments.csv"
+    rows = [",".join(f"{(i * 7 + j) % 5}" for j in range(12)) + f",{i % 2}" for i in range(11)]
+    path.write_text("\n".join([",".join(f"f{j}" for j in range(12)) + ",label", *rows,
+                               "3," * 12 + "0"]) + "\n")
+    return ["--task", "classify", "--model", "ExampleModel", "--csv", str(path),
+            "--window", "12"]
+
+
+def _batch_of_one(tmp_path, monkeypatch):
+    return ["--task", "forecast", "--model", "WeiXiaoyan", "--synth", "sine:length=1200",
+            "--window", "100", "--horizon", "2", "--batch-size", "1"]
+
+
+def _rows_that_are_not_probabilities(tmp_path, monkeypatch):
+    # no CLI input reaches it (the classify head ends in a softmax), so the
+    # training loss is made to meet one
+    loss_and_grad = train.loss_and_grad
+    monkeypatch.setattr(train, "loss_and_grad", lambda kind, p, t: loss_and_grad(
+        "cross_entropy", [[0.5, 0.4]], [[1.0, 0.0]]))
+    return FAST_FORECAST[1:]
+
+
+def _empty_test_part(tmp_path, monkeypatch):
+    # no CLI input reaches it (every split part holds a window), so the
+    # metric is made to meet an empty batch
+    mae = train.mean_absolute_error
+    monkeypatch.setattr(train, "mean_absolute_error", lambda p, t: mae(p[:0], t.array[:0]))
+    return FAST_FORECAST[1:]
+
+
+@pytest.mark.parametrize("error, setup, message", [
+    (DegenerateSegmentError, _constant_segment, "column 0 is constant; zscore undefined"),
+    (DegenerateBatchError, _batch_of_one,
+     "batchnorm needs batch >= 2 in training mode, got 1"),
+    (ContractError, _rows_that_are_not_probabilities,
+     "cross_entropy needs probability rows; worst row sum 0.90000000"),
+    (MetricUndefinedError, _empty_test_part, "mean absolute error of an empty batch ((0, 5, 1))"),
+], ids=["degenerate_segment", "degenerate_batch", "contract", "metric_undefined"])
+def test_each_narrower_data_error_exits_4(tmp_path, capsys, monkeypatch, error, setup, message):
+    assert issubclass(error, DataError)  # and so a ValueError
+    argv = setup(tmp_path, monkeypatch)
+    code, _, err = run_cli(["train", *argv, "--epochs", "1", "--out", str(tmp_path / "x")],
+                           capsys)
+    assert code == 4
+    assert err == f"error: {message}\n"
 
 
 def test_non_finite_csv_cell_exits_4(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Preprocessing, windowing, synthetic generators, and CSV input."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,12 @@ def test_smooth_keeps_length_and_validates():
         smooth([1.0], 2, iterations=-1)
     with pytest.raises(DataError):
         smooth(np.empty((0, 1)), 2)
+
+
+def test_smooth_rejects_a_series_of_rank_three():
+    with pytest.raises(ShapeError, match=re.escape(
+            "a series must be [steps, columns], got shape (10, 2, 2)")):
+        smooth(np.zeros((10, 2, 2)), 3)
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,5 +1,6 @@
 """The equivalence digest script in tools/: deterministic, sensitive to a weight,
-its CLI lines, and its batch-partition and thread-count modes."""
+its CLI lines (train and eval, synthetic and CSV), and its batch-partition and
+thread-count modes."""
 
 import importlib.util
 import re
@@ -16,8 +17,10 @@ digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(digest)
 
 SUBSET = ["ShiHaotian", "ExampleModel"]  # registry order; three inputs, then one
-# the subset's CLI lines: list, two describes, and the three ExampleModel runs
-CLI_LINES = 1 + len(SUBSET) + 3 * len(digest.CLI_ARTIFACTS)
+RUN_LINES = len(digest.CLI_ARTIFACTS) + 2  # each artifact, then eval's stdout and metrics.txt
+# the subset's CLI lines: list, two describes, the three synthetic ExampleModel
+# runs and the three CSV ones
+CLI_LINES = 1 + len(SUBSET) + 6 * RUN_LINES
 
 
 def test_digest_lines_repeat_in_and_across_processes():
@@ -37,14 +40,20 @@ def test_cli_lines_name_each_output_and_its_digest():
         "cli list stdout",
         "cli describe ShiHaotian stdout",
         "cli describe ExampleModel stdout",
-        *(f"cli train {task} ExampleModel {name}"
-          for task in ("forecast", "classify", "anomaly") for name in digest.CLI_ARTIFACTS),
+        *(line
+          for source in ("", " csv")
+          for task in ("forecast", "classify", "anomaly")
+          for line in [*(f"cli train {task} ExampleModel{source} {name}"
+                         for name in digest.CLI_ARTIFACTS),
+                       f"cli eval {task} ExampleModel{source} stdout",
+                       f"cli eval {task} ExampleModel{source} metrics.txt"]),
     ]
     assert all(re.fullmatch("[0-9a-f]{64}", line.rsplit(" ", 1)[1]) for line in lines)
     assert len(set(lines)) == len(lines)
     every = [line.rsplit(" ", 1)[0] for line in digest.cli_lines()]
-    assert len(every) == 1 + len(zoo.names()) + len(digest.CLI_RUNS) * len(digest.CLI_ARTIFACTS)
-    assert "cli train forecast FuJiangmeng manifest.txt" in every
+    runs = len(digest.CLI_RUNS) + len(digest.CSV_RUNS)
+    assert len(every) == 1 + len(zoo.names()) + runs * RUN_LINES
+    assert "cli eval forecast FuJiangmeng metrics.txt" in every
 
 
 def test_changing_one_weight_changes_the_gradient_line():

@@ -3,14 +3,17 @@
 import functools
 import io
 import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deepseries.container import read_records
 from deepseries.errors import FormatError, GraphError, ShapeError, StateError
-from deepseries.graph import GraphBuilder, Model, NodeSpec, build
+from deepseries.graph import WEIGHTS_MAGIC, GraphBuilder, Model, NodeSpec, build
 from deepseries.layers import (
     GRU,
     LSTM,
@@ -143,6 +146,18 @@ def test_shape_error_names_the_node():
     b.add("widekernel", Conv1D(4, 9), x)
     with pytest.raises(ShapeError, match="node 'widekernel'"):
         b.build()
+
+
+def test_a_layer_bound_at_one_shape_is_rejected_at_another():
+    conv = Conv1D(2, 3)
+    first = GraphBuilder()
+    first.add("c", conv, first.input("x", (8, 1)))
+    first.build()
+    again = GraphBuilder()
+    again.add("c", conv, again.input("x", (9, 1)))
+    with pytest.raises(ShapeError, match=re.escape(
+            "node 'c': conv1d already bound to [(8, 1)], got [(9, 1)]")):
+        again.build()
 
 
 # (layer factory, inputs given): each single-input kind with two inputs,
@@ -543,6 +558,28 @@ def test_bad_magic_and_truncation_rejected():
         m.load_weights(io.BytesIO(b"???????" + blob[7:]))
     with pytest.raises(FormatError, match="truncated"):
         m.load_weights(io.BytesIO(blob[:5]))
+
+
+def _with_checksum(body: bytes) -> io.BytesIO:
+    return io.BytesIO(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+@pytest.mark.parametrize("cut", [4, 1, 17])
+def test_a_record_cut_short_under_a_valid_checksum_reads_as_truncated(cut):
+    # the damage property test below always trips the checksum first
+    buf = io.BytesIO()
+    tiny_model().save_weights(buf)
+    body = buf.getvalue()[:-4]
+    with pytest.raises(FormatError, match="^file truncated: "):
+        read_records(WEIGHTS_MAGIC, _with_checksum(body[:-cut]))
+
+
+def test_trailing_bytes_under_a_valid_checksum_are_rejected():
+    buf = io.BytesIO()
+    tiny_model().save_weights(buf)
+    body = buf.getvalue()[:-4]
+    with pytest.raises(FormatError, match="^trailing bytes after the last record$"):
+        read_records(WEIGHTS_MAGIC, _with_checksum(body + b"\0"))
 
 
 @settings(max_examples=300, deadline=None)

@@ -107,8 +107,8 @@ def test_composite_blocks_have_no_pass_of_their_own():
 def test_subgraph_params_alias_the_inner_layers():
     layer = Bidirectional(GRU(2))
     single_node_model(layer, (4, 1))
-    assert layer.params["fwd_wx"] is layer.fwd.params["wx"]
-    assert layer.params["bwd_b"] is layer.bwd.params["b"]
+    assert layer.params["fwd_wx"] is layer.nodes["fwd"].layer.params["wx"]
+    assert layer.params["bwd_b"] is layer.nodes["bwd"].layer.params["b"]
 
 
 def test_multiply_broadcasts_size_one_axes():

@@ -2,15 +2,19 @@
 hand-worked examples.  Weights are overwritten in place after binding so every
 expected value below was computed by hand from the printed formulas."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from deepseries.errors import DegenerateBatchError, ParameterError, ShapeError
+from deepseries.graph import GraphBuilder
 from deepseries.layers import (
     ActivationLayer,
     Add,
     BatchNorm1D,
+    Bidirectional,
     Concat,
     Conv1D,
     Dense,
@@ -18,10 +22,13 @@ from deepseries.layers import (
     Flatten,
     Pool1D,
     Reshape,
+    SEBlock,
+    TanhAttention,
     Upsample1D,
     sigmoid,
 )
 from deepseries.layers.base import _ACTIVATIONS
+from deepseries.layers.core import PadTime
 from conftest import single_node_model
 
 
@@ -497,6 +504,36 @@ def test_joins_need_two_inputs(factory):
     for n in (0, 1):
         with pytest.raises(ParameterError, match="at least two inputs"):
             factory(n)
+
+
+@pytest.mark.parametrize("factory, message", [
+    (lambda: Dense(0), "units must be >= 1"),
+    (lambda: Reshape((0,)), "reshape target must be positive, got (0,)"),
+    (lambda: Upsample1D(0), "upsample factor must be >= 1"),
+    (lambda: PadTime(0), "pad length must be >= 1"),
+    (lambda: SEBlock(0), "ratio must be >= 1"),
+    (lambda: TanhAttention(0), "att_units must be >= 1"),
+    (lambda: Bidirectional(Dense(2)), "bidirectional wraps an LSTM or GRU layer"),
+], ids=["dense", "reshape", "upsample", "pad_time", "se_block", "tanh_attention",
+        "bidirectional"])
+def test_constructors_reject_arguments_out_of_range(factory, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        factory()
+
+
+@pytest.mark.parametrize("factory, in_shapes, message", [
+    (lambda: Conv1D(2, 3), [(8,)], "conv1d expects a [time, channels] input, got [(8,)]"),
+    (BatchNorm1D, [(4, 3, 2)], "batchnorm expects a rank-1/2 input, got [(4, 3, 2)]"),
+    (lambda: Add(2), [(4, 3), (4, 2)], "add inputs must share a shape, got [(4, 3), (4, 2)]"),
+    (lambda: Concat(2), [(4, 3), (5, 2)],
+     "concat inputs must differ only in the last axis, got [(4, 3), (5, 2)]"),
+], ids=["conv1d_rank", "batchnorm_rank", "add", "concat"])
+def test_layers_reject_input_shapes_they_cannot_take(factory, in_shapes, message):
+    b = GraphBuilder()
+    ins = [b.input(f"x{i}", shape) for i, shape in enumerate(in_shapes)]
+    b.add("L", factory(), ins if len(ins) > 1 else ins[0])
+    with pytest.raises(ShapeError, match=f"^node 'L': {re.escape(message)}$"):
+        b.build()
 
 
 def test_upsample_repeats_steps():

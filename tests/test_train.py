@@ -26,7 +26,6 @@ from deepseries.train import (
     TrainConfig,
     accuracy,
     auc,
-    evaluate,
     fit,
     loss_and_grad,
     mean_absolute_error,
@@ -295,10 +294,8 @@ def test_fit_restores_best_epoch_state():
     vals = [e["val_loss"] for e in hist.epochs]
     assert hist.best_epoch == int(np.argmin(vals))
     # the restored parameters reproduce the best epoch's val loss exactly
-    from deepseries.train import _dataset_loss
-
-    now = _dataset_loss(m, "mse", np.asarray(val_set.inputs.array),
-                        np.asarray(val_set.targets.array), cfg.batch_size)
+    pred = predict(m, np.asarray(val_set.inputs.array), cfg.batch_size)
+    now = loss_and_grad("mse", pred, np.asarray(val_set.targets.array))[0]
     assert now == vals[hist.best_epoch]
 
 
@@ -471,8 +468,6 @@ def test_metrics_reject_an_empty_batch(metric):
     fn = accuracy if metric == "accuracy" else mean_absolute_error
     with pytest.raises(MetricUndefinedError, match="empty batch"):
         fn(np.zeros((0, 3)), np.zeros((0, 3)))
-    with pytest.raises(MetricUndefinedError, match="empty batch"):
-        evaluate(metric, np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def brute_force_auc(scores, labels):
@@ -527,11 +522,3 @@ def test_auc_rejects_non_finite_scores():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(MetricUndefinedError, match="finite scores"):
             auc([0.1, bad, 0.3], [1, 0, 1])
-
-
-def test_evaluate_dispatch():
-    assert evaluate("accuracy", [[0.9, 0.1]], [0]) == 1.0
-    assert evaluate("mae", [1.0], [3.0]) == 2.0
-    assert evaluate("auc", [0.9, 0.1], [1, 0]) == 1.0
-    with pytest.raises(ParameterError, match="unknown metric"):
-        evaluate("f1", [1.0], [1.0])

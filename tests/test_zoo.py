@@ -284,6 +284,18 @@ def test_too_short_error_reports_threshold():
     assert build_model("ChenChen", (190, 1)).output_shape == (64,)
 
 
+def test_registry_rejections_keep_their_own_messages():
+    with pytest.raises(ParameterError, match="^KhanZulfiqar hyperparameter 'dropout' "
+                                             "is out of range, got 1000"):
+        build_model("KhanZulfiqar", (64, 1), dropout=10**400)
+    with pytest.raises(ShapeError, match="^ExampleModel accepts no input up to time 65536$"):
+        minimum_input_length("ExampleModel", 0)
+    # no channels is a malformed shape, so no minimum length is appended
+    with pytest.raises(ShapeError,
+                       match=r"^input_shape must be \[time, channels\], got \(10, 0\)$"):
+        build_model("ExampleModel", (10, 0))
+
+
 def test_multi_input_entry():
     m = build_model("ShiHaotian", (64, 1))
     assert m.input_names == ["x1", "x2", "x3"]

@@ -23,7 +23,11 @@ Then one ``cli ...`` line per CLI output gives the SHA-256 of:
 * ``cli train <task> <model> <artifact>``: each of ``CLI_ARTIFACTS`` from
   the short ``train`` runs of ``CLI_RUNS``, one per task plus a FuJiangmeng
   forecast, all written to ``--out run`` in one temporary directory, since
-  ``manifest.txt`` records the path.
+  ``manifest.txt`` records the path;
+* ``cli eval <task> <model> stdout|metrics.txt``: what ``eval`` of that
+  run's ``weights.dsw`` prints, and the ``metrics.txt`` it writes to ``ev``;
+* ``cli train|eval <task> <model> csv ...``: the same for the runs of
+  ``CSV_RUNS``, each on the CSV file that ``csv_text`` writes for its task.
 
 The last line is the SHA-256 of all lines before it.  Run the script on two
 trees and diff the outputs: equal lines mean equal bytes.  The values depend
@@ -75,6 +79,11 @@ CLI_RUNS = [  # (task, model, flags) of each digested `train` run
     ("anomaly", "ExampleModel", "--synth traffic:length=800"),
     ("forecast", "FuJiangmeng", "--synth sine:length=400 --window 20 --horizon 2"),
 ]
+CSV_RUNS = [  # (task, model, flags) of each `train` run on the task's csv_text
+    ("forecast", "ExampleModel", "--column value --window 20 --horizon 2"),
+    ("classify", "ExampleModel", "--window 16"),
+    ("anomaly", "ExampleModel", "--window 16 --steps 2"),
+]
 CLI_ARTIFACTS = ("weights.dsw", "history.txt", "metrics.txt", "manifest.txt")
 
 
@@ -117,6 +126,39 @@ def _cli(*argv: str) -> bytes:
     return out.getvalue().encode()
 
 
+def csv_text(task: str) -> str:
+    """The CSV file that the ``task`` run of ``CSV_RUNS`` reads."""
+    rng = np.random.default_rng(0)
+    if task == "forecast":  # a step column, then the column forecast
+        rows = ["step,value"] + [f"{i},{np.sin(i / 7.0) + 2.0:.6f}" for i in range(400)]
+    elif task == "classify":  # 16 features, then labels 0..2 shifting the mean
+        rows = [",".join(f"f{j}" for j in range(16)) + ",label"]
+        rows += [",".join(f"{v + i % 3:.4f}" for v in rng.normal(size=16)) + f",{i % 3}"
+                 for i in range(30)]
+    else:  # a load column with a spike every 97 steps, then its 0/1 label
+        rows = ["load,label"] + [
+            f"{np.sin(i / 5.0) + 0.1 * rng.normal() + 3.0 * (i % 97 == 40):.6f},"
+            f"{int(i % 97 == 40)}" for i in range(600)]
+    return "\n".join(rows) + "\n"
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _run_lines(label: str, run_flags: list[str]) -> list[str]:
+    """Train into ``run``, evaluate its weights into ``ev``, and digest both."""
+    _cli("train", *run_flags, "--epochs", "2", "--out", "run")
+    out = [f"cli train {label} {name} {_sha(_read(os.path.join('run', name)))}"
+           for name in CLI_ARTIFACTS]
+    stdout = _cli("eval", *run_flags, "--weights", os.path.join("run", "weights.dsw"),
+                  "--out", "ev")
+    metrics = _read(os.path.join("ev", "metrics.txt"))
+    return out + [f"cli eval {label} stdout {_sha(stdout)}",
+                  f"cli eval {label} metrics.txt {_sha(metrics)}"]
+
+
 def cli_lines(entries=None) -> list[str]:
     """The ``cli ...`` lines; ``entries`` limits the ``describe`` lines and
     the runs to those entries."""
@@ -129,11 +171,15 @@ def cli_lines(entries=None) -> list[str]:
         try:
             for task, model, flags in CLI_RUNS:
                 if entries is None or model in entries:
-                    _cli("train", "--task", task, "--model", model, "--epochs", "2",
-                         "--out", "run", *flags.split())
-                    for name in CLI_ARTIFACTS:
-                        with open(os.path.join("run", name), "rb") as fh:
-                            out.append(f"cli train {task} {model} {name} {_sha(fh.read())}")
+                    out += _run_lines(f"{task} {model}",
+                                      ["--task", task, "--model", model, *flags.split()])
+            for task, model, flags in CSV_RUNS:
+                if entries is None or model in entries:
+                    with open(f"{task}.csv", "w") as fh:
+                        fh.write(csv_text(task))
+                    out += _run_lines(f"{task} {model} csv",
+                                      ["--task", task, "--model", model, "--csv", f"{task}.csv",
+                                       *flags.split()])
         finally:
             os.chdir(home)
     return out

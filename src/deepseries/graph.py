@@ -34,7 +34,10 @@ class Model:
         self.node_shapes: dict[str, tuple[int, ...]] = shapes
         self.output: str = output
         self._plan = forward_plan(nodes, output)
-        self._ctx: Optional[dict] = None
+        # Per node name, the cache dict of the latest training forward, kept
+        # for the next one to reuse its arrays: the training workspace.
+        self._workspace: dict[str, dict] = {}
+        self._pending: Optional[int] = None  # the batch size backward awaits
         self.last_input_grads: Optional[dict[str, np.ndarray]] = None
 
     # -- introspection -------------------------------------------------------
@@ -98,37 +101,53 @@ class Model:
         return arrays
 
     def forward(self, x, train: bool = False) -> Tensor:
-        """Evaluate the graph.  In training mode, caches for backward are kept."""
+        """Evaluate the graph.
+
+        A training forward keeps what ``backward`` needs in the model's
+        training workspace, one cache dict per node, which the next training
+        forward hands back to the same node so that layers reuse its arrays.
+        It replaces any forward still pending, and clears the pending one
+        before its first node runs, so a forward that fails part-way leaves
+        nothing for ``backward``.  Inference uses no workspace.
+        """
         values = self._coerce_inputs(x)
-        caches: Optional[dict] = {} if train else None
-        forward_nodes(self._plan, values, train, caches)
+        if train:
+            self._pending = None
+        forward_nodes(self._plan, values, train, self._workspace if train else None)
         out = values[self.output]
         if train:
-            self._ctx = {"caches": caches, "batch": out.shape[0]}
+            self._pending = out.shape[0]
         return Tensor(out)
 
     def backward(self, loss_grad) -> dict[str, np.ndarray]:
         """Back-propagate from the output; returns gradients per parameter name.
 
-        Requires a preceding training-mode ``forward``, and ``loss_grad`` must
-        have that forward's output shape.  The cache is consumed.  Gradients
-        with respect to the graph inputs are kept on ``last_input_grads``.
+        Differentiates the most recent training-mode ``forward``, and
+        ``loss_grad`` must have that forward's output shape; a second
+        ``backward`` needs another forward.  Gradients with respect to the
+        graph inputs are kept on ``last_input_grads``.  No array returned
+        here or kept there is one a later forward or backward overwrites.
         """
-        if self._ctx is None:
+        if self._pending is None:
             raise StateError("backward requires a prior training-mode forward")
         grad = as_array(loss_grad)
-        want = (self._ctx["batch"], *self.output_shape)
+        want = (self._pending, *self.output_shape)
         if grad.shape != want:
             raise ShapeError(f"loss gradient must have the output shape {want}, "
                              f"got {grad.shape}")
-        ctx, self._ctx = self._ctx, None
+        batch, self._pending = self._pending, None
         upstream: dict[str, np.ndarray] = {self.output: grad}
-        grads = backward_nodes(self.nodes, ctx["caches"], upstream, "{}/{}".format)
+        grads = backward_nodes(self.nodes, self._workspace, upstream, "{}/{}".format)
         self.last_input_grads = {
-            name: upstream.get(name, np.zeros((ctx["batch"], *self.input_shapes[name])))
+            name: upstream.get(name, np.zeros((batch, *self.input_shapes[name])))
             for name in self.input_names
         }
         return grads
+
+    def _release(self):
+        """Drop the pending backward and the training workspace with its arrays."""
+        self._pending = None
+        self._workspace = {}
 
     # -- weights I/O -----------------------------------------------------------
 

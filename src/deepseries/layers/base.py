@@ -2,7 +2,10 @@
 
 Layers are stateful in their parameters only.  ``forward`` writes whatever the
 matching ``backward`` needs into a caller-supplied cache dict, so one layer
-instance can safely appear in more than one model graph.
+instance can safely appear in more than one model graph.  A model hands each
+node the same dict on every training forward (its training workspace), so a
+layer may take its large arrays from the previous forward's through
+``Layer._buffer`` instead of allocating them again.
 """
 
 from __future__ import annotations
@@ -149,6 +152,22 @@ class Layer:
         self._build(shapes, rng)
         self._in_shapes = shapes
         return out
+
+    @staticmethod
+    def _buffer(cache: Optional[dict], key: str, shape: tuple) -> np.ndarray:
+        """An uninitialised float array of ``shape`` for a forward to fill.
+
+        With a ``cache``, the array it holds under ``key`` is reused when the
+        shape matches, and a new one replaces it otherwise, so each key keeps
+        one shape.  Without one (inference) the array is new.  A reused array
+        is overwritten, so nothing a layer returns may be a view of one.
+        """
+        a = None if cache is None else cache.get(key)
+        if a is None or a.shape != shape:
+            a = np.empty(shape)
+            if cache is not None:
+                cache[key] = a
+        return a
 
     def forward(self, x, train: bool = False, cache: Optional[dict] = None):
         raise NotImplementedError

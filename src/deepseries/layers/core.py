@@ -16,6 +16,12 @@ from ..errors import DegenerateBatchError, ParameterError, ShapeError
 from .base import Layer, activation_pair, fan_uniform
 
 PADDINGS = ("valid", "same", "full")
+# Samples per inference block of Conv1D's window matrix.  At ExampleModel's
+# second conv (47 steps of 3 x 16 values) a block is 0.3 MB, where the whole
+# batch-256 matrix is 4.7 MB.  Blocks of 8 to 256 samples ran a batch-256
+# ExampleModel predict equally fast; from 16 down its transient peak stays
+# within 0.05 MiB of the other nodes' floor.
+_BLOCK = 16
 
 
 class Conv1D(Layer):
@@ -29,18 +35,24 @@ class Conv1D(Layer):
       one on the right)
     * ``full``:  ``time + kernel - 1`` (``kernel - 1`` zeros on both sides)
 
-    The forward copies the padded input once into a window matrix of
-    ``[batch * t_out, kernel * in_channels + 1]`` rows.  Each row is
-    kernel-major (``x[t], x[t+1], ...``, all channels of one step together),
-    the order of the kernel reshaped to ``[kernel * in_channels, filters]``,
-    and ends in a one, so the convolution and its bias are one matrix
-    product, with ``b`` stacked under the reshaped kernel and neither operand
-    transposed.  The window matrix and the output are two views of one
-    allocation, freed together.  In training the cache keeps that window
-    matrix; its transpose times the output gradient gives the weight
-    gradient, and the bias gradient in its last row.  Batch 1 skips the
-    copy: one sample's windows are a strided view of its padded input with
-    no ones column, multiplied by the kernel, and the bias is added after.
+    The forward copies the padded input into a window matrix of
+    ``kernel * in_channels + 1`` columns, one row per output step.  Each row
+    is kernel-major (``x[t], x[t+1], ...``, all channels of one step
+    together), the order of the kernel reshaped to ``[kernel * in_channels,
+    filters]``, and ends in a one, so the convolution and its bias are one
+    matrix product, with ``b`` stacked under the reshaped kernel and neither
+    operand transposed.  Inference fills and multiplies the matrix in blocks
+    of ``_BLOCK`` samples, each product written straight into the output, so
+    its transient memory does not grow with the batch.  Training makes one
+    block of the whole batch and caches it: its transpose times the output
+    gradient gives the weight gradient, and the bias gradient in its last
+    row.  That block is a workspace array, reused by the next training
+    forward of the same batch size.  Every output row is one row of a
+    product over the same columns, whichever block it falls in; the tests
+    hold blocked inference to the training forward bit for bit.  Batch 1
+    skips the copy: one sample's windows are a strided view of its padded
+    input with no ones column, multiplied by the kernel, and the bias is
+    added after.
     """
 
     kind = "conv1d"
@@ -78,38 +90,31 @@ class Conv1D(Layer):
         self.params["b"] = np.zeros(f)
 
     def forward(self, x, train=False, cache=None):
-        xp = _pad_time(x, *self._pad_amounts())
-        b, time, ch = xp.shape
+        before, after = self._pad_amounts()
+        b, time, ch = x.shape
         k, f = self.kernel, self.filters
-        t_out = time - k + 1
-        # In a C-contiguous xp, the k * ch values from xp[i, s, 0] on are the
-        # window at step s.  The channel stride is the item size, not
-        # xp.strides[2]: a C-contiguous size-1 axis may carry any stride.
-        win = np.ndarray((b, t_out, k * ch), buffer=memoryview(xp).toreadonly(),
-                         strides=(*xp.strides[:2], xp.itemsize))
-        n, kc = b * t_out, k * ch
+        t_out = time + before + after - k + 1
+        kc = k * ch
         w2 = self.params["w"].reshape(kc, f)
         if b == 1:  # one sample's windows are already a matrix view
-            cols = win[0]
-            z = cols @ w2
+            cols = _windows(_pad_time(x, before, after), t_out, kc)[0]
+            z = (cols @ w2).reshape(1, t_out, f)
             z += self.params["b"]
         else:
-            # The window matrix and the output share one allocation.  As two
-            # blocks, a batch-256 ExampleModel forward grew the heap by about
-            # twice its largest block, where glibc starts handing the freed
-            # heap top back to the OS: successive calls either reused that
-            # memory or faulted 6-8 MB of it back in, and took 20-40% longer
-            # when they did.
-            block = np.empty(n * (kc + 1 + f))
-            cols = block[: n * (kc + 1)].reshape(n, kc + 1)
-            np.copyto(cols.reshape(b, t_out, kc + 1)[..., :kc], win)
+            rows = b if cache is not None else min(b, _BLOCK)
+            cols = self._buffer(cache, "cols", (rows * t_out, kc + 1))
             cols[:, kc] = 1.0  # the bias rides in the product
             wb = np.concatenate((w2, self.params["b"][None]))
-            z = np.matmul(cols, wb, out=block[n * (kc + 1) :].reshape(n, f))
-        z = z.reshape(b, t_out, f)
+            z = np.empty((b, t_out, f))
+            for s in range(0, b, max(rows, 1)):  # rows is 0 only for an empty batch
+                xp = _pad_time(x[s : s + rows], before, after)
+                n = len(xp) * t_out
+                np.copyto(cols[:n].reshape(len(xp), t_out, kc + 1)[..., :kc],
+                          _windows(xp, t_out, kc))
+                np.matmul(cols[:n], wb, out=z[s : s + rows].reshape(n, f))
         a = self._act(z, out=z)
         if cache is not None:
-            cache.update(cols=cols, a=a, in_time=x.shape[1])
+            cache.update(cols=cols, a=a, in_time=time)
         return a
 
     def backward(self, upstream, cache):
@@ -127,6 +132,15 @@ class Conv1D(Layer):
             dxp[:, j : j + t_out] += dz @ w[j].T
         dx = dxp[:, before : before + cache["in_time"]]
         return dx, {"w": dw.reshape(w.shape), "b": db}
+
+
+def _windows(xp: np.ndarray, t_out: int, kc: int) -> np.ndarray:
+    """The ``[batch, t_out, kc]`` windows of a C-contiguous ``xp``, as a
+    read-only strided view: from ``xp[i, s, 0]`` on, the next ``kc`` values
+    are the window at step ``s``.  The channel stride is the item size, not
+    ``xp.strides[2]``: a C-contiguous size-1 axis may carry any stride."""
+    return np.ndarray((len(xp), t_out, kc), buffer=memoryview(xp).toreadonly(),
+                      strides=(*xp.strides[:2], xp.itemsize))
 
 
 def _pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:

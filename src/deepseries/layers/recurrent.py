@@ -12,15 +12,18 @@ pre-activations come from one product
 weights with ``x_t``, a row of ones (the bias) and ``h_{t-1}``.  Each gate
 and state is then a contiguous block of rows, so every elementwise op runs
 as one flat loop over it.  Given a backward cache, the loop writes every
-step's blocks into ``[time, rows, batch]`` arrays; without one it reuses a
-single block.  The backward walks the same layout: per step, one product
-``w.T @ dz`` gives ``dx_t`` and ``dh_{t-1}``, and ``dz @ stack[t].T`` adds
-into one ``[gates, channels + 1 + units]`` weight gradient, which is
+step's blocks into ``[time, rows, batch]`` arrays, the cache's own when the
+previous training forward left ones of the same shape in it; without one it
+reuses a single block.  The backward walks the same layout: per step, one
+product ``w.T @ dz`` gives ``dx_t`` and ``dh_{t-1}``, and ``dz @ stack[t].T``
+adds into one ``[gates, channels + 1 + units]`` weight gradient, which is
 scattered back to ``wx``, ``b`` and ``wh`` once.  Outputs and input
-gradients are transposed back once, at the end.
+gradients are transposed back once, at the end, into new arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,39 +51,41 @@ class _Recurrent(Layer):
         p = self.params
         return np.concatenate((p["wx"], p["b"][None], p["wh"]))[:, self._order]
 
-    def _step_terms(self, x):
-        """Gate-major weights ``[gates, channels + 1 + units]`` and the step stack.
+    def _step_terms(self, x, stack):
+        """Gate-major weights ``[gates, channels + 1 + units]``, with ``stack``
+        filled for the step loop.
 
         Transposes ``_weights`` and halves its leading ``_n_sigmoid`` rows,
         the sigmoid gates, in place (``sigmoid(z) = 0.5 + 0.5 * tanh(z / 2)``
         and halving is exact, so one ``tanh`` of the halved pre-activations
         serves every gate).  The stack is ``[time + 1, channels + 1 + units,
-        batch]``: block ``t`` holds ``x_t``, a row of ones and ``h_{t-1}``
-        (zero in block 0), so one product ``w @ stack[t]`` gives the
-        pre-activations of step ``t``, bias included.  (A GRU's candidate
-        reads ``r * h``, so it takes only the input rows.)  Step ``t`` writes
-        ``h_t`` into the state rows of block ``t + 1``; the input rows of the
-        last block are never read.  Derived from the parameters on every
-        call, so parameter updates apply at once.
+        batch]``, and what it held is overwritten: block ``t`` holds ``x_t``,
+        a row of ones and ``h_{t-1}`` (zero in block 0), so one product
+        ``w @ stack[t]`` gives the pre-activations of step ``t``, bias
+        included.  (A GRU's candidate reads ``r * h``, so it takes only the
+        input rows.)  Step ``t`` writes ``h_t`` into the state rows of block
+        ``t + 1``; the input rows of the last block are never read.  Derived
+        from the parameters on every call, so parameter updates apply at once.
         """
-        b, t, ch = x.shape
+        t, ch = x.shape[1:]
         w = self._weights().T
         w[: self._n_sigmoid] *= 0.5
-        stack = np.empty((t + 1, w.shape[1], b))
         stack[:t, :ch] = x.transpose(1, 2, 0)
         stack[:, ch] = 1.0
         stack[0, ch + 1 :] = 0.0
-        return np.ascontiguousarray(w), stack
+        return np.ascontiguousarray(w)
 
     def _grads(self, dxh, dw):
         """The input gradient ``[batch, time, channels]`` from the gate-major
         ``dxh`` ``[time, channels + 1 + units, batch]``, and the parameter
         gradients from ``dw`` ``[gates, channels + 1 + units]``, scattered
-        back through ``_order`` to ``wx``, ``b`` and ``wh``."""
+        back through ``_order`` to ``wx``, ``b`` and ``wh``.  ``dx`` is a copy
+        (``np.ascontiguousarray`` would return a view of ``dxh`` at batch 1
+        with one step)."""
         ch = dw.shape[1] - 1 - self.units
         g = np.empty(dw.shape[::-1])
         g[:, self._order] = dw.T
-        dx = np.ascontiguousarray(dxh[:, :ch].transpose(2, 0, 1))
+        dx = dxh[:, :ch].transpose(2, 0, 1).copy()
         return dx, {"wx": g[:ch], "b": g[ch], "wh": g[ch + 1 :]}
 
 
@@ -115,15 +120,17 @@ class LSTM(_Recurrent):
     def forward(self, x, train=False, cache=None):
         b, t, ch = x.shape
         u = self.units
-        w, stack = self._step_terms(x)
+        stack = self._buffer(cache, "stack", (t + 1, ch + 1 + u, b))
+        w = self._step_terms(x, stack)
         hs = stack[:, ch + 1 :]
         # A backward reads every step's blocks; inference reuses one set and
         # alternates two cell blocks (writing c_t over c_{t-1} would cost
         # numpy an overlap copy per step).
         kept = t if cache is not None else 1
-        zs = np.empty((kept, 4 * u, b))  # activated gates, i f o g
-        tcs = np.empty((kept, u, b))  # tanh(c_t)
-        cs = np.zeros((kept + 1, u, b))  # c_0 = 0, then c_t
+        zs = self._buffer(cache, "zs", (kept, 4 * u, b))  # activated gates, i f o g
+        tcs = self._buffer(cache, "tcs", (kept, u, b))  # tanh(c_t)
+        cs = self._buffer(cache, "cs", (kept + 1, u, b))  # c_0, then c_t
+        cs[0] = 0.0
         blocks = [(z, z[: 3 * u], *z.reshape(4, u, b), tc) for z, tc in zip(zs, tcs)]
         for ti in range(t):
             z, sig, i, f, o, g, tc = blocks[ti % kept]
@@ -137,8 +144,6 @@ class LSTM(_Recurrent):
             c += tc
             np.tanh(c, out=tc)
             np.multiply(o, tc, out=hs[ti + 1])
-        if cache is not None:
-            cache.update(stack=stack, zs=zs, cs=cs, tcs=tcs)
         return _batch_major(hs, self.return_sequences)
 
     def backward(self, upstream, cache):
@@ -207,17 +212,30 @@ class GRU(_Recurrent):
     def forward(self, x, train=False, cache=None):
         b, t, ch = x.shape
         u = self.units
-        w, stack = self._step_terms(x)
+        shape = (t + 1, ch + 1 + u, b)
+        if cache is None:
+            # The stack and the candidates in one allocation.  glibc trims
+            # the heap top past twice the largest block it has freed; apart,
+            # that block was a batch-256 ZhangJin predict's 6.2 MB stack, so
+            # the BiGRU's 12 MiB transient went back to the OS and was
+            # faulted in again on every call (3800 minor faults per call in
+            # a loop of predicts, against none).
+            n = math.prod(shape)
+            block = np.empty(n + t * u * b)
+            stack, ns = block[:n].reshape(shape), block[n:].reshape(t, u, b)
+        else:
+            stack, ns = self._buffer(cache, "stack", shape), self._buffer(cache, "ns", (t, u, b))
+        w = self._step_terms(x, stack)
         w_zr, w_nh = w[: 2 * u], w[2 * u :, ch + 1 :]
         # The candidate's recurrent product reads r * h, not the stack's h,
         # so its input term, bias included, is one product over all steps;
         # one per step would cost each batch-1 step another call.  Each step
         # adds its recurrent term in place, so this holds every n_t.
-        ns = np.matmul(w[2 * u :, : ch + 1], stack[:t, : ch + 1])
+        np.matmul(w[2 * u :, : ch + 1], stack[:t, : ch + 1], out=ns)
         hs = stack[:, ch + 1 :]
         kept = t if cache is not None else 1  # a backward reads every step's blocks
-        zrs = np.empty((kept, 2 * u, b))  # activated z r
-        rhs = np.empty((kept, u, b))  # r * h_{t-1}
+        zrs = self._buffer(cache, "zrs", (kept, 2 * u, b))  # activated z r
+        rhs = self._buffer(cache, "rhs", (kept, u, b))  # r * h_{t-1}
         blocks = [(zr, zr[:u], zr[u:], rh) for zr, rh in zip(zrs, rhs)]
         for ti in range(t):
             zr, z, r, rh = blocks[ti % kept]
@@ -232,8 +250,6 @@ class GRU(_Recurrent):
             np.subtract(cand, h, out=hn)  # h + z * (n - h): (1 - z) * h + z * n in one op fewer
             hn *= z
             hn += h
-        if cache is not None:
-            cache.update(stack=stack, zrs=zrs, rhs=rhs, ns=ns)
         return _batch_major(hs, self.return_sequences)
 
     def backward(self, upstream, cache):
@@ -280,8 +296,9 @@ class GRU(_Recurrent):
 def _batch_major(hs, return_sequences):
     """The layer output from the gate-major states ``[time + 1, units, batch]``
     (``h_0`` first): ``[batch, time, units]`` or the final ``[batch, units]``,
-    C-contiguous."""
-    return np.ascontiguousarray(hs[1:].transpose(2, 0, 1) if return_sequences else hs[-1].T)
+    as a C-contiguous copy (at batch 1 ``np.ascontiguousarray`` would return a
+    view of the states, which the next training forward overwrites)."""
+    return (hs[1:].transpose(2, 0, 1) if return_sequences else hs[-1].T).copy()
 
 
 class Bidirectional(Subgraph):

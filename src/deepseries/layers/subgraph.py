@@ -95,12 +95,14 @@ def forward_nodes(plan: tuple[tuple, ...], values: dict, train: bool,
     Values are dropped as the plan says, so on return ``values`` holds the
     kept output and no dead arrays.  With a ``caches`` dict, each node's
     backward cache is kept under its name; it holds whatever backward needs,
-    so dropping is safe in training too.
+    so dropping is safe in training too.  A node's dict is created once and
+    handed back on every later forward with the same ``caches``, so a layer
+    can reuse the arrays its previous forward or backward left in it.
     """
     for name, layer, inputs, multi, dead in plan:
         cache = None
         if caches is not None:
-            cache = caches[name] = {}
+            cache = caches.setdefault(name, {})
         values[name] = layer.forward([values[i] for i in inputs] if multi else values[inputs[0]],
                                      train, cache)
         for value in dead:

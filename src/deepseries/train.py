@@ -197,7 +197,9 @@ def fit(model: Model, train_set, val_set, config: TrainConfig,
     validation loss, and restores the best-epoch parameters and buffers on
     return.  A non-finite training loss raises TrainingDivergedError with the
     0-based epoch index.  An empty training or validation set raises
-    DataError before the first epoch.
+    DataError before the first epoch.  The model's training workspace lives
+    for one fit: every exit, an error included, releases it and drops any
+    pending backward.
     """
     if config.batch_size < 1 or config.max_epochs < 1:
         raise ParameterError("batch_size and max_epochs must be >= 1")
@@ -211,34 +213,37 @@ def fit(model: Model, train_set, val_set, config: TrainConfig,
     stopper = EarlyStopping(config.patience, config.min_delta)
     history = History()
     n = xs.shape[0]
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            sel = order[start : start + config.batch_size]
-            pred = model.forward(_model_inputs(model, xs[sel]), train=True)
-            val, grad = loss_and_grad(config.loss, pred.array, ys[sel])
-            if not np.isfinite(val):
+    try:
+        for epoch in range(config.max_epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                sel = order[start : start + config.batch_size]
+                pred = model.forward(_model_inputs(model, xs[sel]), train=True)
+                val, grad = loss_and_grad(config.loss, pred.array, ys[sel])
+                if not np.isfinite(val):
+                    raise TrainingDivergedError(
+                        f"training loss became non-finite at epoch {epoch}", epoch
+                    )
+                grads = model.backward(grad)
+                opt.step(grads)
+                total += val * len(sel)
+            train_loss = total / n
+            val_loss = loss_and_grad(config.loss, predict(model, vx, config.batch_size), vy)[0]
+            if not np.isfinite(val_loss):
                 raise TrainingDivergedError(
-                    f"training loss became non-finite at epoch {epoch}", epoch
+                    f"validation loss became non-finite at epoch {epoch}", epoch
                 )
-            grads = model.backward(grad)
-            opt.step(grads)
-            total += val * len(sel)
-        train_loss = total / n
-        val_loss = loss_and_grad(config.loss, predict(model, vx, config.batch_size), vy)[0]
-        if not np.isfinite(val_loss):
-            raise TrainingDivergedError(
-                f"validation loss became non-finite at epoch {epoch}", epoch
+            history.epochs.append(
+                {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss}
             )
-        history.epochs.append(
-            {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss}
-        )
-        stop = stopper.update(val_loss)
-        if stopper.best_epoch == epoch:  # always at epoch 0, whose loss beats inf
-            best_state = {k: v.copy() for k, v in model.state().items()}
-        if stop:
-            break
+            stop = stopper.update(val_loss)
+            if stopper.best_epoch == epoch:  # always at epoch 0, whose loss beats inf
+                best_state = {k: v.copy() for k, v in model.state().items()}
+            if stop:
+                break
+    finally:
+        model._release()
     history.best_epoch = stopper.best_epoch
     live = model.state()
     for name, arr in best_state.items():

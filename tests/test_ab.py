@@ -3,6 +3,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,17 +41,37 @@ def test_parse_run_reads_env_gates_and_the_final_line():
     assert crashed["metrics"] == {} and crashed["stderr"] == "Traceback ..."
 
 
-def _runs(parent, change, change_gates=(), change_failed=0):
-    """Four pairs of ``workload`` runs from per-metric value lists."""
+def test_usage_delta_reads_minor_faults_and_system_seconds():
+    before = SimpleNamespace(ru_minflt=1000, ru_stime=2.5, ru_majflt=7)
+    after = SimpleNamespace(ru_minflt=4500, ru_stime=3.75, ru_majflt=9)
+    assert ab.usage_delta(before, after) == {"minor_faults": 3500, "sys_s": 1.25}
+
+
+def _runs(parent, change, change_gates=(), change_failed=0, usage=None):
+    """Four pairs of ``workload`` runs from per-metric value lists, with
+    ``usage[side][pair]`` as each run's ``(minor_faults, sys_s)`` (zero when
+    not given)."""
     runs = []
     for pair in range(4):
         for side, values in (("parent", parent), ("change", change)):
             gates = change_gates if side == "change" and pair == 2 else ()
             failed = change_failed if side == "change" else 0
             out = _output({k: v[pair] for k, v in values.items()}, gates, failed=failed)
+            extra = dict(zip(ab.USAGE, (0, 0.0) if usage is None else usage[side][pair]))
             runs.append({"workload": "w", "pair": pair, "seed": 5 + pair, "side": side,
-                         **ab.parse_run(out)})
+                         **ab.parse_run(out), **extra})
     return runs
+
+
+def test_summary_gives_each_sides_median_faults_and_system_seconds():
+    values = {"rate": [100, 100, 100, 100]}
+    usage = {"parent": [(9000, 0.5), (1000, 0.25), (3000, 0.75), (5000, 1.0)],
+             "change": [(100, 0.0), (300, 0.5), (200, 0.25), (400, 0.0)]}
+    s = ab.summarise(_runs(values, values, usage=usage), END_TO_END[:1])["w"]
+    assert s["usage_median"] == {"parent": {"minor_faults": 4000.0, "sys_s": 0.625},
+                                 "change": {"minor_faults": 250.0, "sys_s": 0.125}}
+    assert ("  per run, median: parent 4000 minor faults, 0.62 s system; "
+            "change 250 minor faults, 0.12 s system") in ab.summary_lines({"w": s})
 
 
 def test_summary_gives_medians_wins_and_a_verdict_per_metric():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepseries.container import read_records
-from deepseries.errors import FormatError, GraphError, ShapeError, StateError
+from deepseries.errors import DegenerateBatchError, FormatError, GraphError, ShapeError, StateError
 from deepseries.graph import WEIGHTS_MAGIC, GraphBuilder, Model, NodeSpec, build
 from deepseries.layers import (
     GRU,
@@ -249,6 +249,82 @@ def test_backward_cache_is_consumed():
     m.backward(np.ones((2, 4)))
     with pytest.raises(StateError):
         m.backward(np.ones((2, 4)))
+
+
+def test_a_training_forward_that_fails_part_way_leaves_nothing_pending():
+    # batchnorm, the middle node, rejects a one-row training batch
+    b = GraphBuilder()
+    h = b.add("conv", Conv1D(3, 3), b.input("x", (8, 2)))
+    h = b.add("bn", BatchNorm1D(), h)
+    b.add("head", Dense(2), b.add("flat", Flatten(), h))
+    m = b.build()
+    m.forward(np.ones((2, 8, 2)), train=True)
+    with pytest.raises(DegenerateBatchError):
+        m.forward(np.ones((1, 8, 2)), train=True)
+    with pytest.raises(StateError, match="training-mode forward"):
+        m.backward(np.ones((2, 2)))
+
+
+def _example_model():
+    return build_model("ExampleModel", (100, 1), top=make_top("forecast", horizon=10, features=1))
+
+
+def _lstm_model():
+    b = GraphBuilder()
+    b.add("lstm", LSTM(5), b.input("x", (1, 3)))
+    return b.build(seed=1)
+
+
+def test_backward_differentiates_the_latest_training_forward():
+    rng = np.random.default_rng(0)
+    x1, x2 = rng.normal(size=(3, 100, 1)), rng.normal(size=(2, 100, 1))
+    g = rng.normal(size=(2, 10, 1))
+    m, fresh = _example_model(), _example_model()
+    m.forward(x1, train=True)
+    out = m.forward(x2, train=True).array
+    grads = m.backward(g)
+    want_out = fresh.forward(x2, train=True).array
+    want = fresh.backward(g)
+    np.testing.assert_array_equal(out, want_out)
+    assert grads.keys() == want.keys()
+    for name in want:
+        np.testing.assert_array_equal(grads[name], want[name])
+    np.testing.assert_array_equal(m.last_input_grads["x"], fresh.last_input_grads["x"])
+
+
+@pytest.mark.parametrize("model,shape", [(_example_model, (4, 100, 1)), (_lstm_model, (1, 1, 3))])
+def test_a_training_step_keeps_nothing_the_next_one_overwrites(model, shape):
+    m = model()
+    rng = np.random.default_rng(2)
+
+    def step():
+        out = m.forward(rng.normal(size=shape), train=True).array
+        grads = m.backward(rng.normal(size=out.shape))
+        return [out, *grads.values(), *m.last_input_grads.values()]
+
+    first = step()
+    kept = [a.copy() for a in first]
+    second = step()
+    for a, want in zip(first, kept):
+        np.testing.assert_array_equal(a, want)
+        assert not any(np.shares_memory(a, b) for b in second)
+
+
+def test_the_training_workspace_persists_per_node_and_inside_subgraphs():
+    b = GraphBuilder()
+    h = b.add("conv", Conv1D(4, 3), b.input("x", (12, 2)))
+    b.add("bi", Bidirectional(LSTM(3)), h)
+    m = b.build()
+    x = np.random.default_rng(0).normal(size=(5, 12, 2))
+    m.forward(x, train=True)
+    cols, stack = m._workspace["conv"]["cols"], m._workspace["bi"]["bwd"]["stack"]
+    m.backward(np.ones((5, 6)))
+    m.forward(x[:1], train=False)  # inference leaves the workspace alone
+    m.forward(x, train=True)
+    assert m._workspace["conv"]["cols"] is cols
+    assert m._workspace["bi"]["bwd"]["stack"] is stack
+    m.forward(x[:4], train=True)  # another batch size: new arrays, one shape per key
+    assert m._workspace["bi"]["bwd"]["stack"].shape[2] == 4
 
 
 @pytest.mark.parametrize("grad_shape", [(1, 10, 1), (3, 10), (3, 10, 2)])

@@ -3,6 +3,7 @@ hand-worked examples.  Weights are overwritten in place after binding so every
 expected value below was computed by hand from the printed formulas."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from deepseries.layers import (
     sigmoid,
 )
 from deepseries.layers.base import _ACTIVATIONS
-from deepseries.layers.core import PadTime
+from deepseries.layers.core import _BLOCK, PadTime
 from conftest import single_node_model
 
 
@@ -215,15 +216,54 @@ def test_conv_folded_bias_matches_window_matrix_reference(padding, channels):
 
 
 @pytest.mark.parametrize("activation", ["linear", "relu"])
-def test_conv_window_matrix_and_output_share_one_allocation(activation):
-    # One block for both keeps a batch-256 forward's heap growth clear of the
-    # point where glibc hands the freed heap top back (see Conv1D.forward).
+def test_conv_training_reuses_its_window_matrix_and_returns_new_outputs(activation):
+    # The cache a model hands back on the next training forward keeps the
+    # window matrix for one batch size; outputs and gradients are new arrays.
     layer = Conv1D(4, 3, activation=activation)
     layer.bind([(9, 2)], np.random.default_rng(0))
+    rng = np.random.default_rng(1)
     cache = {}
-    out = layer.forward(np.ones((5, 9, 2)), train=True, cache=cache)
-    assert cache["cols"].base is out.base
-    assert not np.shares_memory(cache["cols"], out)
+    out = layer.forward(rng.normal(size=(5, 9, 2)), train=True, cache=cache)
+    cols = cache["cols"]
+    dx, grads = layer.backward(rng.normal(size=out.shape), cache)
+    kept = [a.copy() for a in (out, dx, *grads.values())]
+    again = layer.forward(rng.normal(size=(5, 9, 2)), train=True, cache=cache)
+    assert cache["cols"] is cols
+    for a, want in zip((out, dx, *grads.values()), kept):
+        np.testing.assert_array_equal(a, want)
+        assert not np.shares_memory(a, cols) and not np.shares_memory(a, again)
+    layer.forward(rng.normal(size=(3, 9, 2)), train=True, cache=cache)
+    assert cache["cols"].shape == (3 * 7, 3 * 2 + 1)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("padding", ["valid", "same", "full"])
+def test_conv_inference_in_row_blocks_equals_the_one_block_training_forward(padding, channels):
+    layer = Conv1D(5, 3, padding=padding, activation="relu")
+    layer.bind([(11, channels)], np.random.default_rng(channels))
+    layer.params["b"][...] = np.random.default_rng(7).normal(size=5)
+    for batch in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+        x = np.random.default_rng(batch).normal(size=(batch, 11, channels))
+        np.testing.assert_array_equal(layer.forward(x), layer.forward(x, train=True, cache={}))
+
+
+def test_conv_inference_memory_above_its_output_does_not_grow_with_the_batch():
+    layer = Conv1D(8, 3, padding="same")
+    layer.bind([(40, 3)], np.random.default_rng(0))
+    above = []
+    for batch in (256, 1024):
+        x = np.random.default_rng(batch).normal(size=(batch, 40, 3))
+        layer.forward(x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = layer.forward(x)
+            above.append(tracemalloc.get_traced_memory()[1] - base - out.nbytes)
+        finally:
+            tracemalloc.stop()
+    # the same blocks at both sizes, up to the loop's Python integers
+    assert abs(above[1] - above[0]) <= 256
+    assert above[0] < 256 * 40 * (3 * 3 + 1) * 8 / 4  # a quarter of one whole-batch matrix
 
 
 # (window, stride): max-pool windows tile the series, so the stride is the window

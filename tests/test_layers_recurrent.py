@@ -181,6 +181,33 @@ def test_gate_major_inference_matches_training_at_every_batch_size(cell, return_
             k: p.shape for k, p in layer.params.items()}
 
 
+@pytest.mark.parametrize("return_sequences", [False, True])
+@pytest.mark.parametrize("cell", [LSTM, GRU])
+def test_a_reused_cache_leaves_earlier_outputs_and_gradients_intact(cell, return_sequences):
+    # A model hands a layer the same cache on every training forward, and the
+    # layer refills the arrays in it.  At batch 1 with one step the output and
+    # the input gradient are the shape of a block of those arrays, so a view
+    # of one would change under the next forward or backward.
+    layer = cell(4, return_sequences=return_sequences)
+    layer.bind([(1, 3)], np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    cache = {}
+
+    def step():
+        out = layer.forward(rng.normal(size=(1, 1, 3)), train=True, cache=cache)
+        dx, grads = layer.backward(rng.normal(size=out.shape), cache)
+        return [out, dx, *grads.values()]
+
+    first = step()
+    stack = cache["stack"]
+    kept = [a.copy() for a in first]
+    second = step()
+    assert cache["stack"] is stack
+    for a, want in zip(first, kept):
+        np.testing.assert_array_equal(a, want)
+        assert not any(np.shares_memory(a, b) for b in second + [stack])
+
+
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_inference_step_sees_in_place_parameter_updates(cell):
     m = single_node_model(CELLS[cell](False), (6, 2), seed=12)

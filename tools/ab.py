@@ -7,7 +7,9 @@
 the script runs each tree's own ``perfbench/run.py --trace 0`` once per
 pair, one process at a time, with seeds ``--seed``, ``--seed + 1``, ...;
 the parent runs first in even pairs and the change in odd ones.  From each
-run it keeps the ``env`` line, the ``gate`` lines and the final JSON line.
+run it keeps the ``env`` line, the ``gate`` lines and the final JSON line,
+and, from ``getrusage(RUSAGE_CHILDREN)`` read before and after it, the run's
+minor page faults and system seconds.
 
 It then prints, per workload and end-to-end metric of ``BENCHMARK.json``
 (read from the repository that holds this script), each side's median and
@@ -23,8 +25,9 @@ change's relative worsening against its bound, and a verdict:
 
 ``gain rule met`` marks a metric whose change won at least nine in ten pairs
 with medians further apart than the parent's interquartile range.  Every
-failed gate and a rise in the share of failed operations are listed.  The
-``--out`` file holds the env records, every run's metrics and the summary.
+failed gate and a rise in the share of failed operations are listed, and
+each side's median minor faults and system seconds per run.  The ``--out``
+file holds the env records, every run's metrics and usage, and the summary.
 The exit code is 1 when a metric regressed, a gate failed, a run crashed or
 the failed-ops share rose, and 0 otherwise.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -41,14 +45,24 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+USAGE = ("minor_faults", "sys_s")
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``tree``, parsed."""
+    """One ``perfbench/run.py --trace 0`` run in ``tree``, parsed, with its usage."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    return parse_run(proc.stdout, proc.returncode, proc.stderr)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return {**parse_run(proc.stdout, proc.returncode, proc.stderr),
+            **usage_delta(before, after)}
+
+
+def usage_delta(before, after) -> dict:
+    """Minor page faults and system seconds between two ``getrusage`` readings."""
+    return {"minor_faults": after.ru_minflt - before.ru_minflt,
+            "sys_s": after.ru_stime - before.ru_stime}
 
 
 def parse_run(stdout: str, code: int = 0, stderr: str = "") -> dict:
@@ -124,9 +138,13 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             att = sum(r["attempted"] for r in mine if r["side"] == side)
             failed_ops[side] = (sum(r["failed"] for r in mine if r["side"] == side) / att
                                 if att else None)
+        usage = {side: {k: float(np.median([r[k] for r in mine if r["side"] == side]))
+                        for k in USAGE}
+                 for side in SIDES}
         summary[workload] = {
             "pairs": len(pairs),
             "metrics": metrics,
+            "usage_median": usage,
             "failed_gates": [f"{r['side']} seed {r['seed']}: {g}" for r in mine
                              for g in r["failed_gates"]
                              + ([f"exit {r['exit']}"] if r["exit"] not in (0, 1) else [])],
@@ -157,6 +175,10 @@ def summary_lines(summary: dict) -> list[str]:
                 f"{m['verdict']}" + ("; gain rule met" if m["gain_rule_met"] else ""))
         for gate in s["failed_gates"]:
             out.append(f"  FAILED {gate}")
+        use = s["usage_median"]
+        out.append("  per run, median: " + "; ".join(
+            f"{side} {use[side]['minor_faults']:.0f} minor faults, "
+            f"{use[side]['sys_s']:.2f} s system" for side in SIDES))
         shares = s["failed_ops_share"]
         out.append(f"  failed-ops share: parent {shares['parent']} change {shares['change']}"
                    + (" (ROSE)" if s["failed_ops_rose"] else ""))

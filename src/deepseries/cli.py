@@ -377,28 +377,25 @@ class _WeightsProblem(Exception):
 # -- argument parsing --------------------------------------------------------------
 
 
+# Help for the settings whose flag name does not say enough.
+_FLAG_HELP = {
+    "model": "registry architecture name",
+    "csv": "CSV input path (give this or --synth)",
+    "synth": "synthetic spec, e.g. sine:length=2000,noise=0.1",
+    "column": "CSV column to forecast (header name)",
+    "out": "output directory (train: default 'run'; eval: none, so nothing is written)",
+}
+
+
 def _add_run_flags(p: argparse.ArgumentParser, with_weights: bool):
-    p.add_argument("--task", required=True, choices=("forecast", "classify", "anomaly"))
-    p.add_argument("--model", help="registry architecture name")
-    src = p.add_argument_group("data source (exactly one)")
-    src.add_argument("--csv", help="CSV input path")
-    src.add_argument("--synth", help="synthetic spec, e.g. sine:length=2000,noise=0.1")
-    p.add_argument("--column", help="CSV column to forecast (header name)")
+    """``--task``, one flag per preset setting but ``loss`` (config file only),
+    ``--config`` and ``--hyper``, and ``--weights`` for ``eval``."""
+    p.add_argument("--task", required=True, choices=tuple(_TASK_PRESETS))
+    for key in dict.fromkeys(k for preset in _TASK_PRESETS.values() for k in preset):
+        if key != "loss":
+            p.add_argument("--" + key.replace("_", "-"), help=_FLAG_HELP.get(key))
     p.add_argument("--config", help="flat key = value config file; flags override")
     p.add_argument("--hyper", help="architecture overrides, e.g. units=32,kernel=5")
-    p.add_argument("--seed")
-    p.add_argument("--window")
-    p.add_argument("--horizon")
-    p.add_argument("--steps")
-    p.add_argument("--smooth-window", dest="smooth_window")
-    p.add_argument("--smooth-iters", dest="smooth_iters")
-    p.add_argument("--epochs")
-    p.add_argument("--batch-size", dest="batch_size")
-    p.add_argument("--patience")
-    p.add_argument("--delta")
-    p.add_argument("--lr")
-    p.add_argument("--out", help="output directory (train: default 'run'; "
-                                 "eval: none, so nothing is written)")
     if with_weights:
         p.add_argument("--weights", required=True, help="weights file from a train run")
 

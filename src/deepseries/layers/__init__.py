@@ -16,6 +16,7 @@ from .core import (
     Dense,
     Dropout,
     Flatten,
+    GlobalAvgPool1D,
     Pool1D,
     Reshape,
     Upsample1D,
@@ -23,28 +24,3 @@ from .core import (
 from .recurrent import GRU, LSTM, Bidirectional
 from .attention import RTABlock, SEBlock, SpatialTemporalAttention, TanhAttention
 
-__all__ = [
-    "Layer",
-    "fan_uniform",
-    "recurrent_uniform",
-    "sigmoid",
-    "softmax",
-    "ActivationLayer",
-    "Add",
-    "BatchNorm1D",
-    "Concat",
-    "Conv1D",
-    "Dense",
-    "Dropout",
-    "Flatten",
-    "Pool1D",
-    "Reshape",
-    "Upsample1D",
-    "GRU",
-    "LSTM",
-    "Bidirectional",
-    "RTABlock",
-    "SEBlock",
-    "SpatialTemporalAttention",
-    "TanhAttention",
-]

@@ -4,11 +4,9 @@ spatial+temporal gating, and a tanh score pool over time."""
 from __future__ import annotations
 
 from ..errors import ParameterError
-from .core import (ActivationLayer, Add, BatchNorm1D, ChannelMean, Conv1D, Dense, Multiply,
-                   PadTime, Pool1D, Reshape, SumTime, Upsample1D)
+from .core import (ActivationLayer, Add, BatchNorm1D, ChannelMean, Conv1D, Dense,
+                   GlobalAvgPool1D, Multiply, PadTime, Pool1D, Reshape, SumTime, Upsample1D)
 from .subgraph import NodeSpec, Subgraph
-
-__all__ = ["SEBlock", "RTABlock", "SpatialTemporalAttention", "TanhAttention"]
 
 
 class SEBlock(Subgraph):
@@ -30,7 +28,7 @@ class SEBlock(Subgraph):
     def _nodes(self, in_shape):
         ch = in_shape[1]
         return [
-            NodeSpec("squeeze", Pool1D(op="global_avg"), ["x"]),
+            NodeSpec("squeeze", GlobalAvgPool1D(), ["x"]),
             NodeSpec("fc1", Dense(max(1, ch // self.ratio), "relu"), ["squeeze"]),
             NodeSpec("fc2", Dense(ch, "sigmoid"), ["fc1"]),
             NodeSpec("gate", Reshape((1, ch)), ["fc2"]),
@@ -85,7 +83,7 @@ class RTABlock(Subgraph):
         if ch != f:
             nodes.append(NodeSpec("short", Conv1D(f, 1), ["x"]))
             shortcut = "short"
-        return nodes + [NodeSpec("out", Add(3), ["trunk", "gated", shortcut])]
+        return nodes + [NodeSpec("out", Add(), ["trunk", "gated", shortcut])]
 
 
 class SpatialTemporalAttention(Subgraph):

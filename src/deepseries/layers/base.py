@@ -107,8 +107,8 @@ class Layer:
     Subclasses implement ``out_shape`` (static inference on per-sample shapes,
     batch axis excluded), ``_build`` (materialise parameters once input shapes
     are known), ``forward`` and ``backward``.  The node walk checks that a
-    node has ``n_inputs`` inputs before ``out_shape`` runs, so ``out_shape``
-    checks only their shapes.  ``backward`` returns
+    node has ``n_inputs`` inputs (``None``: two or more) before ``out_shape``
+    runs, so ``out_shape`` checks only their shapes.  ``backward`` returns
     ``(input_gradients, parameter_gradients)`` where the first entry matches
     the structure of the forward inputs.
     """

@@ -162,42 +162,32 @@ def _pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:
 
 
 class Pool1D(Layer):
-    """Max pooling over non-overlapping time windows, or global average.
+    """Max pooling over non-overlapping time windows.
 
-    ``max`` windows tile the time axis (stride = window; a remainder shorter
-    than the window is dropped) and are compared pairwise with
-    ``np.maximum``, so a NaN anywhere in a window gives NaN.  Backward routes
-    each window's gradient to the first maximal position (strict ``>``, so
-    the first of tied maxima wins) with one product per window offset: the
-    upstream gradient times whether that offset won.  Where a window's
-    gradient is negative, its other positions hold ``-0.0``.  ``global_avg``
-    averages the whole time axis away.
+    Windows tile the time axis (stride = window; a remainder shorter than the
+    window is dropped) and are compared pairwise with ``np.maximum``, so a
+    NaN anywhere in a window gives NaN.  Backward routes each window's
+    gradient to the first maximal position (strict ``>``, so the first of
+    tied maxima wins) with one product per window offset: the upstream
+    gradient times whether that offset won.  Where a window's gradient is
+    negative, its other positions hold ``-0.0``.
     """
 
     kind = "pool1d"
 
-    def __init__(self, window: int = 2, op: str = "max"):
+    def __init__(self, window: int):
         super().__init__()
-        if op not in ("max", "global_avg"):
-            raise ParameterError(f"pool op must be max|global_avg, got {op!r}")
-        if op == "max" and window < 1:
+        if window < 1:
             raise ParameterError("pool window must be >= 1")
-        self.op = op
         self.window = int(window)
 
     def out_shape(self, in_shapes):
         time, ch = self._series(in_shapes)
-        if self.op == "global_avg":
-            return (ch,)
         if time < self.window:
             raise ShapeError(f"time {time} shorter than pool window {self.window}")
         return (time // self.window, ch)
 
     def forward(self, x, train=False, cache=None):
-        if self.op == "global_avg":
-            if cache is not None:
-                cache.update(in_shape=x.shape)
-            return x.mean(axis=1)
         w = self.window
         stop = w * (x.shape[1] // w - 1) + 1
         out = x[:, :stop:w]  # offset j of every window is x[:, j : j + stop : w]
@@ -212,15 +202,33 @@ class Pool1D(Layer):
         return out
 
     def backward(self, upstream, cache):
-        in_shape = cache["in_shape"]
-        if self.op == "global_avg":
-            return np.broadcast_to(upstream[:, None, :] / in_shape[1], in_shape).copy(), {}
         w, arg = self.window, cache["arg"]
         stop = w * (upstream.shape[1] - 1) + 1
-        dx = np.zeros(in_shape)
+        dx = np.zeros(cache["in_shape"])
         for j in range(w):
             np.multiply(upstream, arg == j, out=dx[:, j : j + stop : w])
         return dx, {}
+
+
+class GlobalAvgPool1D(Layer):
+    """Mean over the whole time axis: ``[time, channels] -> [channels]``.
+
+    A pooling node like :class:`Pool1D`, so it shares its kind.
+    """
+
+    kind = "pool1d"
+
+    def out_shape(self, in_shapes):
+        return (self._series(in_shapes)[1],)
+
+    def forward(self, x, train=False, cache=None):
+        if cache is not None:
+            cache.update(in_shape=x.shape)
+        return x.mean(axis=1)
+
+    def backward(self, upstream, cache):
+        in_shape = cache["in_shape"]
+        return np.broadcast_to(upstream[:, None, :] / in_shape[1], in_shape).copy(), {}
 
 
 class Dense(Layer):
@@ -443,15 +451,10 @@ class Reshape(Layer):
 
 
 class Add(Layer):
-    """Elementwise sum of same-shaped inputs (skip connections)."""
+    """Elementwise sum of two or more same-shaped inputs (skip connections)."""
 
     kind = "add"
-
-    def __init__(self, n_inputs: int = 2):
-        super().__init__()
-        if n_inputs < 2:
-            raise ParameterError("add needs at least two inputs")
-        self.n_inputs = int(n_inputs)
+    n_inputs = None
 
     def out_shape(self, in_shapes):
         if any(s != in_shapes[0] for s in in_shapes[1:]):
@@ -459,25 +462,22 @@ class Add(Layer):
         return in_shapes[0]
 
     def forward(self, xs, train=False, cache=None):
+        if cache is not None:
+            cache.update(n=len(xs))
         out = xs[0].copy()
         for x in xs[1:]:
             out += x
         return out
 
     def backward(self, upstream, cache):
-        return [upstream] * self.n_inputs, {}
+        return [upstream] * cache["n"], {}
 
 
 class Concat(Layer):
-    """Join inputs along the last (channel or feature) axis."""
+    """Join two or more inputs along the last (channel or feature) axis."""
 
     kind = "concat"
-
-    def __init__(self, n_inputs: int):
-        super().__init__()
-        if n_inputs < 2:
-            raise ParameterError("concat needs at least two inputs")
-        self.n_inputs = int(n_inputs)
+    n_inputs = None
 
     def out_shape(self, in_shapes):
         if not all(in_shapes) or any(s[:-1] != in_shapes[0][:-1] for s in in_shapes):

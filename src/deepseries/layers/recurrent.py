@@ -317,6 +317,6 @@ class Bidirectional(Subgraph):
                  NodeSpec("bwd", type(inner)(inner.units, inner.return_sequences), ["rev"])]
         if inner.return_sequences:
             nodes.append(NodeSpec("bwd_rev", ReverseTime(), ["bwd"]))
-        nodes.append(NodeSpec("cat", Concat(2), ["fwd", nodes[-1].name]))
+        nodes.append(NodeSpec("cat", Concat(), ["fwd", nodes[-1].name]))
         super().__init__(nodes)
         self.kind = "bilstm" if isinstance(inner, LSTM) else "bigru"

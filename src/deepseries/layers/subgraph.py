@@ -33,8 +33,9 @@ def walk(specs: Sequence[NodeSpec], shapes: dict,
 
     ``shapes`` holds the graph inputs' per-sample shapes; each node's output
     shape is added as it is reached.  Every node needs a new name and
-    ``layer.n_inputs`` inputs, and reads graph inputs or earlier nodes, so a
-    layer's ``out_shape`` sees the input count it takes.  With ``rngs``, each
+    ``layer.n_inputs`` inputs (two or more where that is ``None``), and reads
+    graph inputs or earlier nodes, so a layer's ``out_shape`` sees the input
+    count it takes.  With ``rngs``, each
     layer is bound from the next generator.
     """
     declared = {spec.name for spec in specs}
@@ -52,9 +53,10 @@ def walk(specs: Sequence[NodeSpec], shapes: dict,
                     f"node {spec.name!r} reads {ref!r}, which is declared after it: "
                     f"nodes must follow their inputs, so a cycle cannot be declared")
             raise GraphError(f"node {spec.name!r} references unknown node {ref!r}")
-        if len(spec.inputs) != spec.layer.n_inputs:
+        want, given = spec.layer.n_inputs, len(spec.inputs)
+        if (given < 2) if want is None else (given != want):
             raise ShapeError(f"node {spec.name!r}: {spec.layer.kind} takes "
-                             f"{spec.layer.n_inputs} inputs, got {len(spec.inputs)}")
+                             f"{want or 'two or more'} inputs, got {given}")
         ins = [shapes[r] for r in spec.inputs]
         try:
             shapes[spec.name] = (spec.layer.out_shape(ins) if rngs is None
@@ -83,7 +85,7 @@ def forward_plan(nodes: dict[str, NodeSpec], keep: str) -> tuple[tuple, ...]:
     for value, reader in last.items():
         if value != keep:
             dead[reader] += (value,)
-    return tuple((name, node.layer, tuple(node.inputs), node.layer.n_inputs > 1, dead[name])
+    return tuple((name, node.layer, tuple(node.inputs), node.layer.n_inputs != 1, dead[name])
                  for name, node in nodes.items())
 
 

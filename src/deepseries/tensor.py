@@ -13,7 +13,8 @@ DTYPE = np.float64
 
 
 class Tensor:
-    """Immutable dense float64 array; ``array`` is a read-only view of it."""
+    """Immutable dense float64 array; ``array`` is a read-only view of it,
+    and numpy functions read a tensor as that view."""
 
     __slots__ = ("_a",)
 
@@ -31,12 +32,19 @@ class Tensor:
         """Read-only numpy view of the values."""
         return self._a
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The read-only view for numpy; a copy only when ``copy`` is true or
+        ``dtype`` differs, and ``ValueError`` where ``copy=False`` forbids one."""
+        if dtype is not None and np.dtype(dtype) != DTYPE:
+            if copy is False:
+                raise ValueError(f"Tensor values are float64; {np.dtype(dtype)} needs a copy")
+            return self._a.astype(dtype)
+        return self._a.copy() if copy else self._a
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
 
 def as_array(x) -> np.ndarray:
     """Coerce a tensor, numpy array, or nested sequence to a float64 array."""
-    if isinstance(x, Tensor):
-        return x.array
     return np.asarray(x, dtype=DTYPE)

@@ -26,6 +26,7 @@ from .layers import (
     Dense,
     Dropout,
     Flatten,
+    GlobalAvgPool1D,
     Pool1D,
     Reshape,
     RTABlock,
@@ -156,7 +157,7 @@ def _cai_wenjuan(b, inp, h):
             Conv1D(h["entry_filters"], k, padding="same", activation="relu"),
             inp[0],
         ))
-    cur = b.add("entry_cat", Concat(len(entries)), entries)
+    cur = b.add("entry_cat", Concat(), entries)
     g = h["growth"]
     for bi in range(h["blocks"]):
         for li in range(h["block_depth"]):
@@ -167,9 +168,9 @@ def _cai_wenjuan(b, inp, h):
             y = b.add(f"{tag}_bn2", BatchNorm1D(), y)
             y = b.add(f"{tag}_act2", ActivationLayer("relu"), y)
             y = b.add(f"{tag}_conv2", Conv1D(g, h["kernel"], padding="same"), y)
-            cur = b.add(f"{tag}_cat", Concat(2), [cur, y])
+            cur = b.add(f"{tag}_cat", Concat(), [cur, y])
         cur = b.add(f"se{bi + 1}", SEBlock(h["se_ratio"]), cur)
-    return b.add("gap", Pool1D(op="global_avg"), cur)
+    return b.add("gap", GlobalAvgPool1D(), cur)
 
 
 def _conv_lstm(b, inp, h, lstms=1):
@@ -222,7 +223,7 @@ def _shi_haotian(b, inp, h):
         y = b.add(f"branch{i + 1}_conv", Conv1D(f, h["kernel"], activation="relu"), x)
         y = b.add(f"branch{i + 1}_pool", Pool1D(h["pool"]), y)
         branches.append(y)
-    cur = b.add("concat", Concat(len(branches)), branches)
+    cur = b.add("concat", Concat(), branches)
     return b.add("lstm", LSTM(h["units"]), cur)
 
 
@@ -264,7 +265,7 @@ def _yibo_gao(b, inp, h):
     for i, f in enumerate(h["filters"]):
         cur = b.add(f"rta{i + 1}",
                     RTABlock(f, h["kernel"], h["rta_pool"]), cur)
-    return b.add("gap", Pool1D(op="global_avg"), cur)
+    return b.add("gap", GlobalAvgPool1D(), cur)
 
 
 def _yildirim_ozal(b, inp, h):
@@ -635,11 +636,12 @@ def build_autoencoder_pair(input_shape=(1000, 1), top: tuple = (), seed: int = 0
     # The encoder nodes lead both graphs, so the classifier build drew their
     # weights from the same seed children an autoencoder build would use.
     ab = GraphBuilder()
-    cur = ab.input("x", shape)
-    for name in ("enc_conv1", "enc_pool1", "enc_conv2", "enc_pool2"):
-        cur = ab.add(name, classifier.nodes[name].layer, cur)
+    ab.input("x", shape)
+    encoder = [spec for name, spec in classifier.nodes.items() if name.startswith("enc_")]
+    for spec in encoder:
+        ab.add(spec.name, spec.layer, spec.inputs)
     cur = ab.add("dec_conv1", Conv1D(h["filters"][1], h["kernel"], padding="same",
-                                     activation="relu"), cur)
+                                     activation="relu"), encoder[-1].name)
     cur = ab.add("dec_up1", Upsample1D(h["pool"]), cur)
     cur = ab.add("dec_conv2", Conv1D(h["filters"][0], h["kernel"], padding="same",
                                      activation="relu"), cur)
@@ -647,7 +649,5 @@ def build_autoencoder_pair(input_shape=(1000, 1), top: tuple = (), seed: int = 0
     cur = ab.add("dec_out", Conv1D(shape[1], h["kernel"], padding="same"), cur)
     autoencoder = ab.build(output=cur, seed=seed)
 
-    frozen = tuple(
-        f"{node}/{p}" for node in ("enc_conv1", "enc_conv2") for p in ("w", "b")
-    )
+    frozen = tuple(f"{spec.name}/{p}" for spec in encoder for p in spec.layer.params)
     return AutoencoderPair(autoencoder, classifier, frozen)

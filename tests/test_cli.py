@@ -121,6 +121,12 @@ def test_describe_rejects_negative_counts_and_zero_kernels(capsys, name, hyper):
     assert "Traceback" not in err
 
 
+def test_describe_names_a_join_left_with_one_input(capsys):
+    code, out, err = run_cli(["describe", "CaiWenjuan", "--hyper", "entry_kernels=3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: node 'entry_cat': concat takes two or more inputs, got 1\n"
+
+
 def test_describe_unknown_model_is_usage_error(capsys):
     code, _, err = run_cli(["describe", "NoSuchNet"], capsys)
     assert code == 2
@@ -577,9 +583,11 @@ def _run_flag_dests(command):
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_every_run_flag_names_a_preset_key(command):
-    # the presets alone carry the setting types, so no flag may go without one
-    keys = {k for p in cli._TASK_PRESETS.values() for k in p}
-    assert _run_flag_dests(command) - {"task", "config", "hyper", "weights"} <= keys
+    # the presets alone carry the setting types, so no flag may go without
+    # one, and every setting but loss (config file only) is a flag
+    keys = {k for p in cli._TASK_PRESETS.values() for k in p} - {"loss"}
+    own = {"task", "config", "hyper"} | ({"weights"} if command == "eval" else set())
+    assert _run_flag_dests(command) == keys | own
 
 
 def _resolve_or_error(argv):
@@ -660,6 +668,61 @@ def test_any_synth_spec_resolves_or_raises_parameter_error(task, spec):
     except ParameterError:
         return
     assert "seed" in opts and "length" in opts
+
+
+# A short run per task, on a series of at most 400 steps (classify's
+# segments are one window long), and CSV files by the word that names them.
+_SHORT_RUN = {"forecast": ["--synth=sine:length=400", "--window=20", "--horizon=2"],
+              "classify": ["--synth=segments"], "anomaly": ["--synth=traffic:length=400"]}
+_CSV_FILES = {
+    "sine.csv": "value\n" + "".join(f"{np.sin(i / 7.0):.6f}\n" for i in range(400)),
+    "nan.csv": "value\n" + "1.0\n" * 200 + "nan\n" + "1.0\n" * 199,
+    "header.csv": "value\n",
+    "latin.csv": b"value\n1\n\xff\n2\n",
+}
+_RUN_KEYS = sorted({k for p in cli._TASK_PRESETS.values() for k in p} - {"loss"})
+# Small ints cap every count and size, so no run can allocate much; the
+# specs each hold at most 400 steps.
+_HOSTILE = st.one_of(st.integers(-2, 3).map(str), st.sampled_from([
+    "0", "-1", "nan", "inf", "-inf", "1e-3", "0.5", "abc", "", "true", "ExampleModel",
+    "sine:length=400,noise=nan", "sine:length=400,offset=1e308", "segments:count=1",
+    "traffic:length=400,rate=inf", *_CSV_FILES, "missing.csv",
+]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(task=_TASKS, flags=st.lists(st.tuples(st.sampled_from(_RUN_KEYS), _HOSTILE),
+                                   max_size=4))
+@example(task="forecast", flags=[("lr", "nan")])
+@example(task="forecast", flags=[("lr", "inf")])
+@example(task="forecast", flags=[("delta", "nan")])
+@example(task="forecast", flags=[("synth", "sine:length=400,noise=inf")])
+@example(task="anomaly", flags=[("synth", "traffic:length=400,rate=nan")])
+@example(task="forecast", flags=[("epochs", "0")])
+@example(task="forecast", flags=[("window", "0")])
+@example(task="anomaly", flags=[("steps", "0")])
+@example(task="classify", flags=[("batch_size", "0")])
+@example(task="forecast", flags=[("horizon", "100000")])
+@example(task="forecast", flags=[("seed", "-1")])
+@example(task="forecast", flags=[("synth", "sine:length=400,offset=1e308")])
+@example(task="forecast", flags=[("csv", "nan.csv")])
+@example(task="forecast", flags=[("csv", "header.csv")])
+@example(task="forecast", flags=[("csv", "latin.csv")])
+@example(task="classify", flags=[("synth", "segments:count=1")])
+def test_hostile_train_argv_exits_with_a_code_and_one_error_line(
+        tmp_path, capsys, monkeypatch, task, flags):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _CSV_FILES.items():
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    argv = ["train", "--task", task, "--model", "ExampleModel", "--epochs=1"]
+    argv += [a for a in _SHORT_RUN[task] if "csv" not in dict(flags) or "synth" not in a]
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in flags]
+    code, _, err = run_cli(argv, capsys)
+    assert code in (0, 2, 3, 4), (code, err)
+    assert "Traceback" not in err
+    if code:
+        assert [line.startswith("error:") for line in err.splitlines()] == [True], err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

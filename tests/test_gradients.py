@@ -22,6 +22,7 @@ from deepseries.layers import (
     Dense,
     Dropout,
     Flatten,
+    GlobalAvgPool1D,
     Pool1D,
     Reshape,
     RTABlock,
@@ -44,7 +45,7 @@ CASES = [
                                  activation="leaky_relu"), (8, 2), {}),
     ("pool_max", lambda: Pool1D(2), (10, 3), {}),
     ("pool_max_w3", lambda: Pool1D(3), (10, 3), {}),
-    ("pool_global_avg", lambda: Pool1D(op="global_avg"), (10, 3), {}),
+    ("pool_global_avg", GlobalAvgPool1D, (10, 3), {}),
     ("dense_sigmoid", lambda: Dense(5, activation="sigmoid"), (7,), {}),
     ("dense_softmax", lambda: Dense(5, activation="softmax"), (7,), {}),
     # the same weights on every step of a [time, features] series
@@ -96,9 +97,7 @@ def test_layer_gradients(name, factory, shape, kw):
     assert worst < TOL, f"{name}: worst relative error {worst:.3e}"
 
 
-@pytest.mark.parametrize("n_inputs,factory", [(2, lambda: Add(2)),
-                                              (3, lambda: Concat(3)),
-                                              (2, lambda: Multiply())],
+@pytest.mark.parametrize("n_inputs,factory", [(2, Add), (3, Concat), (2, Multiply)],
                          ids=["add", "concat", "multiply"])
 def test_multi_input_gradients(n_inputs, factory):
     worst = layer_gradcheck(factory, (6, 2), n_inputs=n_inputs)
@@ -182,9 +181,9 @@ def test_fanout_gradients_sum():
     b = GraphBuilder()
     x = b.input("x", (4, 2))
     h = b.add("shared", Conv1D(3, 2, activation="tanh"), x)
-    p1 = b.add("left", Pool1D(op="global_avg"), h)
+    p1 = b.add("left", GlobalAvgPool1D(), h)
     p2 = b.add("right", Flatten(), h)
-    cat = b.add("cat", Concat(2), [p1, p2])
+    cat = b.add("cat", Concat(), [p1, p2])
     m = b.build(output=cat, seed=0)
     worst = fd_gradcheck(m, {"x": (4, 2)}, seed=123)
     assert worst < TOL

@@ -59,7 +59,7 @@ def test_topological_order_follows_declaration_on_ties():
     b.add("a", ActivationLayer("linear"), x)
     b.add("c_first", ActivationLayer("linear"), "a")
     b.add("b_second", ActivationLayer("linear"), "a")
-    b.add("join", Add(2), ["c_first", "b_second"])
+    b.add("join", Add(), ["c_first", "b_second"])
     m = b.build(output="join")
     assert m.order == ["a", "c_first", "b_second", "join"]
 
@@ -161,7 +161,7 @@ def test_a_layer_bound_at_one_shape_is_rejected_at_another():
 
 
 # (layer factory, inputs given): each single-input kind with two inputs,
-# then the multi-input kinds with one input too many and one too few
+# the joins with one, and Multiply with one input too many and one too few
 WRONG_INPUT_COUNTS = [
     (f, 2) for f in (
         lambda: Conv1D(3, 3), lambda: Pool1D(2), lambda: Dense(3), BatchNorm1D,
@@ -171,7 +171,7 @@ WRONG_INPUT_COUNTS = [
         lambda: Bidirectional(GRU(3)), lambda: SEBlock(2), lambda: RTABlock(4),
         lambda: SpatialTemporalAttention(2, 3), lambda: TanhAttention(4),
     )
-] + [(lambda: Add(2), 3), (lambda: Concat(2), 3), (Multiply, 3), (Multiply, 1)]
+] + [(Add, 1), (Concat, 1), (Multiply, 3), (Multiply, 1)]
 
 
 @pytest.mark.parametrize("factory, given", WRONG_INPUT_COUNTS,
@@ -181,8 +181,9 @@ def test_a_node_with_the_wrong_input_count_is_named(factory, given):
     b = GraphBuilder()
     ins = [b.input(f"x{i}", (8, 4)) for i in range(given)]
     b.add("wrong", layer, ins)
+    want = layer.n_inputs or "two or more"
     with pytest.raises(ShapeError, match=f"^node 'wrong': {layer.kind} takes "
-                                         f"{layer.n_inputs} inputs, got {given}$"):
+                                         f"{want} inputs, got {given}$"):
         b.build()
 
 
@@ -216,7 +217,7 @@ def test_input_sequence_of_the_wrong_length_raises():
         with pytest.raises(ShapeError, match=f"model has 1 inputs, got {len(given)}$"):
             m.forward(given)
     b = GraphBuilder()
-    b.add("cat", Concat(2), [b.input("p", (4, 1)), b.input("q", (4, 1))])
+    b.add("cat", Concat(), [b.input("p", (4, 1)), b.input("q", (4, 1))])
     with pytest.raises(ShapeError, match="model has 2 inputs, got 1$"):
         b.build(output="cat").forward([np.zeros((2, 4, 1))])
 
@@ -354,7 +355,7 @@ def test_fanout_gradient_is_sum_of_paths():
     x = b.input("x", (5, 1))
     p = b.add("left", ActivationLayer("linear"), x)
     q = b.add("right", ActivationLayer("linear"), x)
-    b.add("sum", Add(2), [p, q])
+    b.add("sum", Add(), [p, q])
     m = b.build(output="sum")
     xs = np.random.default_rng(3).normal(size=(2, 5, 1))
     m.forward(xs, train=True)
@@ -382,7 +383,7 @@ def test_multi_input_model_and_input_grads():
     b = GraphBuilder()
     p = b.input("p", (4, 1))
     q = b.input("q", (4, 1))
-    b.add("cat", Concat(2), [p, q])
+    b.add("cat", Concat(), [p, q])
     m = b.build(output="cat")
     xs = {"p": np.ones((2, 4, 1)), "q": np.zeros((2, 4, 1))}
     out = m.forward(xs, train=True)
@@ -419,7 +420,7 @@ def on_copies(m, x, train):
     vals = {"x": x.copy()}
     for name, spec in m.nodes.items():
         ins = [vals[i].copy() for i in spec.inputs]
-        vals[name] = spec.layer.forward(ins if spec.layer.n_inputs > 1 else ins[0],
+        vals[name] = spec.layer.forward(ins if spec.layer.n_inputs != 1 else ins[0],
                                         train, {} if train else None)
     return vals
 
@@ -433,12 +434,12 @@ def fanout_model():
     b.add("conv", Conv1D(3, 3, activation="relu"), x)
     b.add("conv_sig", ActivationLayer("sigmoid"), "conv")
     b.add("conv2", Conv1D(2, 1, activation="tanh"), "conv")
-    b.add("cat", Concat(2), ["conv_sig", "conv2"])
+    b.add("cat", Concat(), ["conv_sig", "conv2"])
     b.add("flat", Flatten(), "cat")
     b.add("dense", Dense(4, activation="relu"), "flat")
     b.add("dense_soft", ActivationLayer("softmax"), "dense")
     b.add("dense2", Dense(3, activation="sigmoid"), "dense")
-    return b.build(output=b.add("out", Concat(2), ["dense_soft", "dense2"]), seed=4)
+    return b.build(output=b.add("out", Concat(), ["dense_soft", "dense2"]), seed=4)
 
 
 @pytest.mark.parametrize("train", [False, True])
@@ -469,7 +470,7 @@ def test_node_reading_one_value_twice(train):
     b = GraphBuilder()
     x = b.input("x", (8, 2))
     b.add("conv", Conv1D(3, 3, activation="sigmoid"), x)
-    m = b.build(output=b.add("twice", Add(2), ["conv", "conv"]), seed=1)
+    m = b.build(output=b.add("twice", Add(), ["conv", "conv"]), seed=1)
     xs = np.random.default_rng(10).normal(size=(2, 8, 2))
     want = on_copies(m, xs, train)["twice"]
     out = m.forward(xs, train=train).array

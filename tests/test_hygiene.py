@@ -28,7 +28,7 @@ def unused_imports(path: Path) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    # quoted annotations and ``__all__`` entries name things in strings
+    # quoted annotations name things in strings
     used |= {n.value for n in ast.walk(tree)
              if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     return [f"{path.relative_to(SRC)}:{line} {name}"

@@ -21,6 +21,7 @@ from deepseries.layers import (
     Dense,
     Dropout,
     Flatten,
+    GlobalAvgPool1D,
     Pool1D,
     Reshape,
     SEBlock,
@@ -107,14 +108,12 @@ POOL_X = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0]).reshape(1, 6, 1)
 def test_pool_max_and_avg():
     m = single_node_model(Pool1D(2), (6, 1))
     np.testing.assert_allclose(m.forward(POOL_X).array.ravel(), [3, 4, 9])
-    m = single_node_model(Pool1D(op="global_avg"), (6, 1))
+    m = single_node_model(GlobalAvgPool1D(), (6, 1))
     np.testing.assert_allclose(m.forward(POOL_X).array.ravel(), [23 / 6])
-    with pytest.raises(ParameterError):
-        Pool1D(2, op="avg")
 
 
 def test_pool_global_avg_drops_time():
-    m = single_node_model(Pool1D(op="global_avg"), (4, 2))
+    m = single_node_model(GlobalAvgPool1D(), (4, 2))
     x = np.arange(8.0).reshape(1, 4, 2)
     out = m.forward(x).array
     assert out.shape == (1, 2)
@@ -528,10 +527,10 @@ def test_reshape_rejects_element_count_change():
 
 
 def test_add_and_concat():
-    m = single_node_model(Add(2), (2, 1), n_inputs=2)
+    m = single_node_model(Add(), (2, 1), n_inputs=2)
     x = {"x0": np.ones((1, 2, 1)), "x1": 2 * np.ones((1, 2, 1))}
     np.testing.assert_allclose(m.forward(x).array.ravel(), [3.0, 3.0])
-    m2 = single_node_model(Concat(2), (2, 2), n_inputs=2)
+    m2 = single_node_model(Concat(), (2, 2), n_inputs=2)
     out = m2.forward({"x0": np.zeros((1, 2, 2)), "x1": np.ones((1, 2, 2))}).array
     assert out.shape == (1, 2, 4)
     np.testing.assert_allclose(np.asarray(out)[0, 0], [0, 0, 1, 1])
@@ -541,20 +540,22 @@ def test_add_and_concat():
 def test_joins_need_two_inputs(factory):
     # a one-input Concat once built, and the executor then handed it a bare
     # array where it expects a list
-    for n in (0, 1):
-        with pytest.raises(ParameterError, match="at least two inputs"):
-            factory(n)
+    layer = factory()
+    with pytest.raises(ShapeError, match=f"^node 'L': {layer.kind} takes two or more "
+                                         f"inputs, got 1$"):
+        single_node_model(layer, (2, 1))
 
 
 @pytest.mark.parametrize("factory, message", [
     (lambda: Dense(0), "units must be >= 1"),
+    (lambda: Pool1D(0), "pool window must be >= 1"),
     (lambda: Reshape((0,)), "reshape target must be positive, got (0,)"),
     (lambda: Upsample1D(0), "upsample factor must be >= 1"),
     (lambda: PadTime(0), "pad length must be >= 1"),
     (lambda: SEBlock(0), "ratio must be >= 1"),
     (lambda: TanhAttention(0), "att_units must be >= 1"),
     (lambda: Bidirectional(Dense(2)), "bidirectional wraps an LSTM or GRU layer"),
-], ids=["dense", "reshape", "upsample", "pad_time", "se_block", "tanh_attention",
+], ids=["dense", "pool1d", "reshape", "upsample", "pad_time", "se_block", "tanh_attention",
         "bidirectional"])
 def test_constructors_reject_arguments_out_of_range(factory, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
@@ -564,8 +565,8 @@ def test_constructors_reject_arguments_out_of_range(factory, message):
 @pytest.mark.parametrize("factory, in_shapes, message", [
     (lambda: Conv1D(2, 3), [(8,)], "conv1d expects a [time, channels] input, got [(8,)]"),
     (BatchNorm1D, [(4, 3, 2)], "batchnorm expects a rank-1/2 input, got [(4, 3, 2)]"),
-    (lambda: Add(2), [(4, 3), (4, 2)], "add inputs must share a shape, got [(4, 3), (4, 2)]"),
-    (lambda: Concat(2), [(4, 3), (5, 2)],
+    (Add, [(4, 3), (4, 2)], "add inputs must share a shape, got [(4, 3), (4, 2)]"),
+    (Concat, [(4, 3), (5, 2)],
      "concat inputs must differ only in the last axis, got [(4, 3), (5, 2)]"),
 ], ids=["conv1d_rank", "batchnorm_rank", "add", "concat"])
 def test_layers_reject_input_shapes_they_cannot_take(factory, in_shapes, message):

@@ -259,7 +259,8 @@ def test_counts_may_be_zero_but_not_negative():
 def test_one_entry_kernel_is_rejected_at_build():
     # one entry conv leaves nothing to concatenate; this once built and then
     # failed in the first forward with a raw ValueError inside Conv1D
-    with pytest.raises(ParameterError, match="concat needs at least two inputs"):
+    with pytest.raises(ShapeError, match="^node 'entry_cat': concat takes two or more "
+                                         "inputs, got 1$"):
         build_model("CaiWenjuan", (64, 1), entry_kernels=[3])
 
 

@@ -23,20 +23,26 @@ from .errors import (
     ShapeError,
 )
 from .graph import Model
-from .tensor import Tensor, as_array
+from .tensor import Tensor, as_array, owned
 from .train import auc as _auc, predict
 
 
 @dataclass
 class SeriesDataset:
-    """Aligned input/target tensors."""
+    """Aligned input/target tensors.
+
+    A :class:`Tensor` is kept as given, since it cannot change; anything
+    else is copied into one.
+    """
 
     inputs: Tensor
     targets: Tensor
 
     def __post_init__(self):
-        self.inputs = Tensor(as_array(self.inputs))
-        self.targets = Tensor(as_array(self.targets))
+        if not isinstance(self.inputs, Tensor):
+            self.inputs = Tensor(self.inputs)
+        if not isinstance(self.targets, Tensor):
+            self.targets = Tensor(self.targets)
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ShapeError(
                 f"inputs ({self.inputs.shape[0]}) and targets "
@@ -48,8 +54,9 @@ class SeriesDataset:
         return self.inputs.shape[0]
 
     def take(self, index) -> "SeriesDataset":
+        """The pairs at ``index``, gathered once into arrays of their own."""
         idx = np.asarray(index)
-        return SeriesDataset(self.inputs.array[idx], self.targets.array[idx])
+        return SeriesDataset(owned(self.inputs.array[idx]), owned(self.targets.array[idx]))
 
 
 def _series(x) -> np.ndarray:
@@ -142,10 +149,12 @@ def windowize(series, window: int, horizon: int, stride: int = 1) -> SeriesDatas
         raise DataError(
             f"series of {n} steps is shorter than window {window} + horizon {horizon}"
         )
-    # views of C-ordered rows (ravel copies any other layout); SeriesDataset copies once
-    blocks = sliding_window_view(a.ravel().reshape(a.shape), window + horizon, axis=0)
+    if not (isinstance(series, Tensor) and a.flags.c_contiguous):
+        a = np.array(a, order="C")  # the one private copy every window views
+    a.setflags(write=False)
+    blocks = sliding_window_view(a, window + horizon, axis=0)
     blocks = blocks[::stride].transpose(0, 2, 1)
-    return SeriesDataset(blocks[:, :window], blocks[:, window:])
+    return SeriesDataset(owned(blocks[:, :window]), owned(blocks[:, window:]))
 
 
 def pad_or_truncate(segment, length: int) -> Tensor:
@@ -184,15 +193,15 @@ def anomaly_windows(series, labels, window: int, horizon: int, stride: int = 1):
     windows free of anomalies in both blocks.  Labels must be 0 or 1
     (DataError otherwise).
     """
-    a = _series(series)
+    n = _series(series).shape[0]
     y = as_array(labels).ravel()
-    if y.shape[0] != a.shape[0]:
+    if y.shape[0] != n:
         raise ShapeError("labels must align with the series steps")
     if not ((y == 0) | (y == 1)).all():
         raise DataError("anomaly labels must be 0 or 1")
-    ds = windowize(a, window, horizon, stride)
+    ds = windowize(series, window, horizon, stride)
     seen = np.concatenate(([0], np.cumsum(y == 1)))  # anomalies before each step
-    s = np.arange(0, a.shape[0] - window - horizon + 1, stride)
+    s = np.arange(0, n - window - horizon + 1, stride)
     end = seen[s + window + horizon]
     return ds, end > seen[s + window], end == seen[s]
 

@@ -2,7 +2,9 @@
 
 A :class:`Tensor` wraps a private, write-protected copy of its values.
 Layers and models compute on plain numpy arrays; :func:`as_array` unwraps a
-tensor or coerces anything array-like on the way in.
+tensor or coerces anything array-like on the way in.  Inside the library,
+:func:`owned` wraps an array that nothing outside holds without copying it,
+such as a fresh gather or a window view of a private series copy.
 """
 
 from __future__ import annotations
@@ -43,6 +45,18 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
+
+
+def owned(a: np.ndarray) -> Tensor:
+    """A tensor over ``a`` itself, write-protected in place.
+
+    Only for float64 arrays that no caller holds a writable reference to
+    (a fresh array, or a view of a read-only one), since nothing is copied.
+    """
+    a.setflags(write=False)
+    t = Tensor.__new__(Tensor)
+    t._a = a
+    return t
 
 
 def as_array(x) -> np.ndarray:

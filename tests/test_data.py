@@ -1,7 +1,9 @@
 """Preprocessing, windowing, synthetic generators, and CSV input."""
 
+import dataclasses
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,11 +194,59 @@ def test_windowize_matches_the_per_window_reference(stride, columns, layout):
     for steps in (40, window + horizon):
         series = _LAYOUTS[layout](rng.normal(size=(steps, columns)))
         ds = windowize(series, window, horizon, stride)
-        for got, want in zip((ds.inputs.array, ds.targets.array),
-                             windowize_reference(series, window, horizon, stride)):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert got.flags.c_contiguous and not got.flags.writeable
-            assert not np.shares_memory(got, series)
+        got = (ds.inputs.array, ds.targets.array)
+        want = windowize_reference(series, window, horizon, stride)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            assert not g.flags.writeable and not np.shares_memory(g, series)
+        assert _span(*got) <= series.nbytes  # both view one private series copy
+        series[...] = 0.0
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+def _span(*arrays):
+    """Bytes from the lowest to the highest address the arrays reach."""
+    lows, highs = [], []
+    for a in arrays:
+        start = a.__array_interface__["data"][0]
+        reach = [s * (n - 1) for s, n in zip(a.strides, a.shape)]
+        lows.append(start + sum(r for r in reach if r < 0))
+        highs.append(start + sum(r for r in reach if r > 0) + a.itemsize)
+    return max(highs) - min(lows)
+
+
+def test_windowize_views_a_contiguous_tensor_without_a_copy():
+    for part in chrono_split(np.arange(100.0)) + (Tensor(np.arange(12.0)),):
+        ds = windowize(part, 3, 2)
+        for a in (ds.inputs.array, ds.targets.array):
+            assert np.shares_memory(a, part.array)
+    ds = windowize(Tensor(np.asfortranarray(np.ones((20, 2)))), 3, 2)
+    assert _span(ds.inputs.array, ds.targets.array) <= 20 * 2 * 8
+
+
+def _traced_peak(call):
+    """``call()``'s result and the peak bytes it allocated, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_window_datasets_take_memory_of_the_series_not_the_windows():
+    steps, window, horizon = 10_000, 200, 10
+    series = np.random.default_rng(0).normal(size=(steps, 1))
+    labels = np.zeros(steps)
+    labels[::97] = 1.0
+    for call in (lambda: windowize(series, window, horizon),
+                 lambda: anomaly_windows(series, labels, window, horizon)):
+        _, peak = _traced_peak(call)
+        # the series is 80 kB; a copy of every window would be 16.4 MB
+        assert peak < 1_000_000
 
 
 def test_pad_or_truncate():
@@ -237,6 +287,26 @@ def test_series_dataset_validation():
     ds = SeriesDataset(np.zeros((3, 2, 1)), np.ones((3, 1)))
     sub = ds.take([2, 0])
     assert sub.n == 2
+
+
+def test_series_dataset_keeps_a_tensor_and_copies_anything_else():
+    xs, ys = np.zeros((3, 2, 1)), np.ones((3, 1))
+    ds = SeriesDataset(xs, ys)
+    assert not np.shares_memory(ds.inputs.array, xs) and not ds.inputs.array.flags.writeable
+    again = SeriesDataset(ds.inputs, ds.targets)
+    assert again.inputs is ds.inputs and again.targets is ds.targets
+    assert dataclasses.replace(ds, targets=ds.inputs).targets is ds.inputs
+
+
+def test_take_gathers_once_into_memory_of_its_own():
+    ds = windowize(np.random.default_rng(0).normal(size=(4000, 1)), 100, 10)
+    idx = np.arange(0, ds.n, 2)
+    sub, peak = _traced_peak(lambda: ds.take(idx))
+    pairs = zip((sub.inputs.array, sub.targets.array), (ds.inputs.array, ds.targets.array))
+    for got, src in pairs:
+        assert got.tobytes() == src[idx].tobytes() and not got.flags.writeable
+        assert not np.shares_memory(got, src)
+    assert peak <= 1.1 * (sub.inputs.array.nbytes + sub.targets.array.nbytes)
 
 
 # -------------------------------------------------------------- anomaly support

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from deepseries.tensor import Tensor
+from deepseries.tensor import Tensor, owned
 
 
 def test_tensor_array_is_read_only():
@@ -23,6 +23,12 @@ def test_tensor_copies_its_source():
     src[0, 0] = 9.0
     assert t.array[0, 0] == 1.0
     assert t.shape == (2, 2)
+
+
+def test_owned_wraps_the_array_itself_and_write_protects_it():
+    a = np.arange(6.0).reshape(2, 3)
+    t = owned(a)
+    assert t.array is a and not a.flags.writeable
 
 
 def test_numpy_reads_a_tensor_as_its_read_only_view():

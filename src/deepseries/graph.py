@@ -27,13 +27,13 @@ WEIGHTS_MAGIC = b"TSDLW1\x00"
 class Model:
     """An executable layer DAG.  Construct through :func:`build`."""
 
-    def __init__(self, input_shapes, nodes, shapes, output):
+    def __init__(self, input_shapes, nodes, shapes):
         self.input_names: list[str] = list(input_shapes)
         self.input_shapes: dict[str, tuple[int, ...]] = input_shapes
         self.nodes: dict[str, NodeSpec] = nodes  # in evaluation order
         self.node_shapes: dict[str, tuple[int, ...]] = shapes
-        self.output: str = output
-        self._plan = forward_plan(nodes, output)
+        self.output: str = next(reversed(nodes))
+        self._plan = forward_plan(nodes)
         # Per node name, the cache dict of the latest training forward, kept
         # for the next one to reuse its arrays: the training workspace.
         self._workspace: dict[str, dict] = {}
@@ -113,8 +113,7 @@ class Model:
         values = self._coerce_inputs(x)
         if train:
             self._pending = None
-        forward_nodes(self._plan, values, train, self._workspace if train else None)
-        out = values[self.output]
+        out = forward_nodes(self._plan, values, train, self._workspace if train else None)
         if train:
             self._pending = out.shape[0]
         return Tensor(out)
@@ -135,13 +134,9 @@ class Model:
         if grad.shape != want:
             raise ShapeError(f"loss gradient must have the output shape {want}, "
                              f"got {grad.shape}")
-        batch, self._pending = self._pending, None
-        upstream: dict[str, np.ndarray] = {self.output: grad}
-        grads = backward_nodes(self.nodes, self._workspace, upstream, "{}/{}".format)
-        self.last_input_grads = {
-            name: upstream.get(name, np.zeros((batch, *self.input_shapes[name])))
-            for name in self.input_names
-        }
+        self._pending = None
+        in_grads, grads = backward_nodes(self.nodes, self._workspace, grad, "{}/{}".format)
+        self.last_input_grads = {name: in_grads[name] for name in self.input_names}
         return grads
 
     def _release(self):
@@ -193,31 +188,22 @@ class Model:
             want[name][...] = arr.astype(np.float64)
 
 
-def build(
-    inputs: dict[str, Sequence[int]],
-    nodes: Sequence[NodeSpec],
-    output: Optional[str] = None,
-    seed: int = 0,
-) -> Model:
+def build(inputs: dict[str, Sequence[int]], nodes: Sequence[NodeSpec], seed: int = 0) -> Model:
     """Validate a node list, infer shapes, initialise weights, return a Model.
 
     ``inputs`` maps entry names to per-sample shapes.  Nodes are evaluated in
     declaration order, so each must follow the nodes it reads: a reference to
     a later node (the only way to declare a cycle) or to an undeclared name
-    raises GraphError.  Node ``i`` initialises from the ``i``-th child of
-    ``SeedSequence(seed)``.  The output defaults to the last node.
+    raises GraphError.  The last node is the output, and an input or node
+    that no later node reads raises GraphError.  Node ``i`` initialises from
+    the ``i``-th child of ``SeedSequence(seed)``.
     """
     if not inputs:
         raise GraphError("a model needs at least one input")
     input_shapes = {k: tuple(int(e) for e in v) for k, v in inputs.items()}
     shapes = dict(input_shapes)
     rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(len(nodes)))
-    node_map = walk(nodes, shapes, rngs)
-    if output is None:
-        output = list(node_map)[-1] if node_map else list(input_shapes)[0]
-    if output not in shapes:
-        raise GraphError(f"output {output!r} is not a declared node or input")
-    return Model(input_shapes, node_map, shapes, output)
+    return Model(input_shapes, walk(nodes, shapes, rngs), shapes)
 
 
 class GraphBuilder:
@@ -236,5 +222,5 @@ class GraphBuilder:
         self._nodes.append(NodeSpec(name, layer, refs))
         return name
 
-    def build(self, output: Optional[str] = None, seed: int = 0) -> Model:
-        return build(self._inputs, self._nodes, output, seed)
+    def build(self, seed: int = 0) -> Model:
+        return build(self._inputs, self._nodes, seed)

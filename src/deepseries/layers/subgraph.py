@@ -35,9 +35,12 @@ def walk(specs: Sequence[NodeSpec], shapes: dict,
     shape is added as it is reached.  Every node needs a new name and
     ``layer.n_inputs`` inputs (two or more where that is ``None``), and reads
     graph inputs or earlier nodes, so a layer's ``out_shape`` sees the input
-    count it takes.  With ``rngs``, each
+    count it takes.  The last node is the output, and every graph input and
+    every other node must be read by a later node.  With ``rngs``, each
     layer is bound from the next generator.
     """
+    if not specs:
+        raise GraphError("a graph needs at least one node")
     declared = {spec.name for spec in specs}
     nodes: dict[str, NodeSpec] = {}
     for spec in specs:
@@ -64,42 +67,45 @@ def walk(specs: Sequence[NodeSpec], shapes: dict,
         except ShapeError as exc:
             raise ShapeError(f"node {spec.name!r}: {exc}") from None
         nodes[spec.name] = spec
+    read = {ref for spec in specs for ref in spec.inputs}
+    unread = [value for value in list(shapes)[:-1] if value not in read]
+    if unread:
+        raise GraphError(f"nothing reads {', '.join(map(repr, unread))}: the last node "
+                         f"is the output, and every input and other node must be read")
     return nodes
 
 
-def forward_plan(nodes: dict[str, NodeSpec], keep: str) -> tuple[tuple, ...]:
+def forward_plan(nodes: dict[str, NodeSpec]) -> tuple[tuple, ...]:
     """One ``(name, layer, inputs, multi, dead)`` record per node, in order.
 
     ``multi`` says whether the layer takes its inputs as a list, and
-    ``dead`` names the values to drop from ``values`` once the node has run:
-    a value (a node output or a graph input) is dropped after its last
-    reader, and a node output that nothing reads right after it is made;
-    ``keep``, the output, never is.  Build the plan once with the node list.
+    ``dead`` names the values (node outputs and graph inputs) that the node
+    is the last reader of, to drop from ``values`` once it has run.  No node
+    reads the output, so it is never dropped.  Build the plan once with the
+    node list.
     """
     last: dict[str, str] = {}
     for name, node in nodes.items():
-        last[name] = name
         for ref in node.inputs:
             last[ref] = name
     dead: dict[str, tuple[str, ...]] = {name: () for name in nodes}
     for value, reader in last.items():
-        if value != keep:
-            dead[reader] += (value,)
+        dead[reader] += (value,)
     return tuple((name, node.layer, tuple(node.inputs), node.layer.n_inputs != 1, dead[name])
                  for name, node in nodes.items())
 
 
 def forward_nodes(plan: tuple[tuple, ...], values: dict, train: bool,
                   caches: Optional[dict] = None):
-    """Evaluate the nodes of ``plan`` (from :func:`forward_plan`) into ``values``,
-    which holds the graph inputs.
+    """Evaluate the nodes of ``plan`` (from :func:`forward_plan`) over
+    ``values``, which holds the graph inputs; return the output.
 
-    Values are dropped as the plan says, so on return ``values`` holds the
-    kept output and no dead arrays.  With a ``caches`` dict, each node's
-    backward cache is kept under its name; it holds whatever backward needs,
-    so dropping is safe in training too.  A node's dict is created once and
-    handed back on every later forward with the same ``caches``, so a layer
-    can reuse the arrays its previous forward or backward left in it.
+    Values are dropped as the plan says, so on return ``values`` holds only
+    the output.  With a ``caches`` dict, each node's backward cache is kept
+    under its name; it holds whatever backward needs, so dropping is safe in
+    training too.  A node's dict is created once and handed back on every
+    later forward with the same ``caches``, so a layer can reuse the arrays
+    its previous forward or backward left in it.
     """
     for name, layer, inputs, multi, dead in plan:
         cache = None
@@ -109,30 +115,27 @@ def forward_nodes(plan: tuple[tuple, ...], values: dict, train: bool,
                                      train, cache)
         for value in dead:
             del values[value]
+    return values[name]
 
 
-def backward_nodes(nodes: dict[str, NodeSpec], caches: dict, upstream: dict,
-                   key: Callable[[str, str], str]) -> dict[str, np.ndarray]:
-    """Reverse mode over ``nodes``; returns parameter gradients named by ``key``.
+def backward_nodes(nodes: dict[str, NodeSpec], caches: dict, grad: np.ndarray,
+                   key: Callable[[str, str], str]) -> tuple[dict, dict[str, np.ndarray]]:
+    """Reverse mode over ``nodes`` from ``grad``, the output's gradient.
 
-    ``upstream`` maps the output node to its gradient; on return it holds the
-    gradients that reached the graph inputs, summed over fan-out.  A node that
-    feeds nothing on the path to the output gets zero parameter gradients.
+    Returns the gradients that reached the graph inputs, summed over
+    fan-out, and the parameter gradients named by ``key``.
     """
+    upstream: dict[str, np.ndarray] = {next(reversed(nodes)): grad}
     grads: dict[str, np.ndarray] = {}
     for name, node in reversed(nodes.items()):
-        up = upstream.pop(name, None)
-        pgrads = {}
-        if up is not None:
-            in_grads, pgrads = node.layer.backward(up, caches[name])
-            if node.layer.n_inputs == 1:
-                in_grads = [in_grads]
-            for src, g in zip(node.inputs, in_grads):
-                upstream[src] = upstream[src] + g if src in upstream else g
-        for pname, p in node.layer.params.items():
-            g = pgrads.get(pname)
-            grads[key(name, pname)] = np.zeros_like(p) if g is None else g
-    return grads
+        in_grads, pgrads = node.layer.backward(upstream.pop(name), caches[name])
+        if node.layer.n_inputs == 1:
+            in_grads = [in_grads]
+        for src, g in zip(node.inputs, in_grads):
+            upstream[src] = upstream[src] + g if src in upstream else g
+        for pname in node.layer.params:
+            grads[key(name, pname)] = pgrads[pname]
+    return upstream, grads
 
 
 def manifest(nodes: dict[str, NodeSpec], attr: str,
@@ -175,8 +178,6 @@ class Subgraph(Layer):
         """The checked node dict and the output shape."""
         shapes = {INPUT: tuple(in_shape)}
         nodes = walk(self._nodes(shapes[INPUT]), shapes, rngs)
-        if not nodes:
-            raise GraphError("a subgraph needs at least one node")
         return nodes, shapes[next(reversed(nodes))]
 
     def out_shape(self, in_shapes):
@@ -184,16 +185,13 @@ class Subgraph(Layer):
 
     def _build(self, in_shapes, rng):
         self.nodes = self._walk(in_shapes[0], itertools.repeat(rng))[0]
-        self._plan = forward_plan(self.nodes, next(reversed(self.nodes)))
+        self._plan = forward_plan(self.nodes)
         self.params = manifest(self.nodes, "params", self._key)
         self.buffers = manifest(self.nodes, "buffers", self._key)
 
     def forward(self, x, train=False, cache=None):
-        values = {INPUT: x}
-        forward_nodes(self._plan, values, train, cache)
-        return values[next(reversed(self.nodes))]
+        return forward_nodes(self._plan, {INPUT: x}, train, cache)
 
     def backward(self, upstream, cache):
-        up = {next(reversed(self.nodes)): upstream}
-        grads = backward_nodes(self.nodes, cache, up, self._key)
-        return up[INPUT], grads
+        in_grads, grads = backward_nodes(self.nodes, cache, upstream, self._key)
+        return in_grads[INPUT], grads

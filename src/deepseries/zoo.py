@@ -533,7 +533,7 @@ def _assemble(name: str, input_shape, hyper: dict, top: tuple, seed: int) -> Mod
     out = _REGISTRY[name][1](b, inputs, h)
     for suffix, factory in top:
         out = b.add(f"top_{suffix}", factory(), out)
-    model = b.build(output=out, seed=seed)
+    model = b.build(seed=seed)
     model.hyper = h
     return model
 
@@ -562,7 +562,8 @@ def build_model(name: str, input_shape=(1000, 1), top: tuple = (), seed: int = 0
 
 
 def minimum_input_length(name: str, channels: int = 1, **hyper) -> int:
-    """Smallest time extent the architecture accepts, found by probing."""
+    """Smallest time extent the architecture accepts, found by probing:
+    time 65536 first, so an error that no length cures is raised at once."""
     def fits(t: int) -> bool:
         try:
             _assemble(name, (t, channels), hyper, (), seed=0)
@@ -570,11 +571,11 @@ def minimum_input_length(name: str, channels: int = 1, **hyper) -> int:
         except ShapeError:
             return False
 
-    hi = 1
-    while hi <= 65536 and not fits(hi):
-        hi *= 2
-    if hi > 65536:
+    if not fits(65536):
         raise ShapeError(f"{name} accepts no input up to time 65536")
+    hi = 1
+    while not fits(hi):
+        hi *= 2
     lo = max(1, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -646,8 +647,8 @@ def build_autoencoder_pair(input_shape=(1000, 1), top: tuple = (), seed: int = 0
     cur = ab.add("dec_conv2", Conv1D(h["filters"][0], h["kernel"], padding="same",
                                      activation="relu"), cur)
     cur = ab.add("dec_up2", Upsample1D(h["pool"]), cur)
-    cur = ab.add("dec_out", Conv1D(shape[1], h["kernel"], padding="same"), cur)
-    autoencoder = ab.build(output=cur, seed=seed)
+    ab.add("dec_out", Conv1D(shape[1], h["kernel"], padding="same"), cur)
+    autoencoder = ab.build(seed=seed)
 
     frozen = tuple(f"{spec.name}/{p}" for spec in encoder for p in spec.layer.params)
     return AutoencoderPair(autoencoder, classifier, frozen)

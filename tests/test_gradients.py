@@ -183,7 +183,7 @@ def test_fanout_gradients_sum():
     h = b.add("shared", Conv1D(3, 2, activation="tanh"), x)
     p1 = b.add("left", GlobalAvgPool1D(), h)
     p2 = b.add("right", Flatten(), h)
-    cat = b.add("cat", Concat(), [p1, p2])
-    m = b.build(output=cat, seed=0)
+    b.add("cat", Concat(), [p1, p2])
+    m = b.build(seed=0)
     worst = fd_gradcheck(m, {"x": (4, 2)}, seed=123)
     assert worst < TOL

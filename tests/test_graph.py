@@ -35,6 +35,7 @@ from deepseries.layers import (
     Upsample1D,
 )
 from deepseries.layers.core import ChannelMean, Multiply, PadTime, ReverseTime, SumTime
+from deepseries.layers.subgraph import Subgraph
 from deepseries.train import predict
 from deepseries.zoo import build_model, make_top, minimum_input_length
 
@@ -45,8 +46,8 @@ def tiny_model(seed=0):
     c = b.add("conv", Conv1D(3, 3, activation="relu"), x)
     p = b.add("pool", Pool1D(2), c)
     f = b.add("flat", Flatten(), p)
-    d = b.add("head", Dense(4), f)
-    return b.build(output=d, seed=seed)
+    b.add("head", Dense(4), f)
+    return b.build(seed=seed)
 
 
 # ----------------------------------------------------------------- assembly
@@ -60,7 +61,7 @@ def test_topological_order_follows_declaration_on_ties():
     b.add("c_first", ActivationLayer("linear"), "a")
     b.add("b_second", ActivationLayer("linear"), "a")
     b.add("join", Add(), ["c_first", "b_second"])
-    m = b.build(output="join")
+    m = b.build()
     assert m.order == ["a", "c_first", "b_second", "join"]
 
 
@@ -71,7 +72,7 @@ def test_forward_reference_rejected():
         NodeSpec("first", ActivationLayer("tanh"), ["x"]),
     ]
     with pytest.raises(GraphError, match="node 'second' reads 'first'.*follow"):
-        build({"x": (4, 1)}, nodes, output="second")
+        build({"x": (4, 1)}, nodes)
 
 
 def test_duplicate_node_name_rejected():
@@ -109,12 +110,6 @@ def test_no_inputs_anywhere_rejected():
         build({}, [])
     with pytest.raises(GraphError, match="no inputs"):
         build({"x": (4, 1)}, [NodeSpec("a", ActivationLayer("relu"), [])])
-
-
-def test_unknown_output_rejected():
-    nodes = [NodeSpec("a", ActivationLayer("relu"), ["x"])]
-    with pytest.raises(GraphError, match="output 'nope'"):
-        build({"x": (4, 1)}, nodes, output="nope")
 
 
 def test_default_output_is_last_in_order():
@@ -219,13 +214,13 @@ def test_input_sequence_of_the_wrong_length_raises():
     b = GraphBuilder()
     b.add("cat", Concat(), [b.input("p", (4, 1)), b.input("q", (4, 1))])
     with pytest.raises(ShapeError, match="model has 2 inputs, got 1$"):
-        b.build(output="cat").forward([np.zeros((2, 4, 1))])
+        b.build().forward([np.zeros((2, 4, 1))])
 
 
 def test_nested_lists_are_one_batch_for_a_one_input_model():
     b = GraphBuilder()
     b.add("d", Dense(2), [b.input("x", (3,))])
-    m = b.build(output="d")
+    m = b.build()
     rows = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
     want = m.forward(np.array(rows)).array
     for given in (rows, tuple(rows), [tuple(r) for r in rows], [rows[0]]):
@@ -356,7 +351,7 @@ def test_fanout_gradient_is_sum_of_paths():
     p = b.add("left", ActivationLayer("linear"), x)
     q = b.add("right", ActivationLayer("linear"), x)
     b.add("sum", Add(), [p, q])
-    m = b.build(output="sum")
+    m = b.build()
     xs = np.random.default_rng(3).normal(size=(2, 5, 1))
     m.forward(xs, train=True)
     g = np.random.default_rng(4).normal(size=(2, 5, 1))
@@ -364,19 +359,21 @@ def test_fanout_gradient_is_sum_of_paths():
     np.testing.assert_allclose(m.last_input_grads["x"], 2.0 * g, rtol=0, atol=0)
 
 
-def test_off_path_node_gets_zero_gradients():
-    # "side" does not reach the output; its params must get zero grads and
-    # it must not contribute to the input gradient.
-    b = GraphBuilder()
-    x = b.input("x", (6, 1))
-    b.add("side", Dense(3), b.add("sideflat", Flatten(), x))
-    keep = b.add("keep", ActivationLayer("linear"), x)
-    m = b.build(output=keep)
-    xs = np.ones((2, 6, 1))
-    m.forward(xs, train=True)
-    grads = m.backward(np.ones((2, 6, 1)))
-    assert np.all(grads["side/w"] == 0) and np.all(grads["side/b"] == 0)
-    np.testing.assert_array_equal(m.last_input_grads["x"], np.ones((2, 6, 1)))
+def test_unread_values_and_empty_node_lists_raise_graph_error():
+    # The last node is the output; a value nothing reads is a wiring slip
+    # that would otherwise train with zero gradients.
+    unread_node = [NodeSpec("flat", Flatten(), ["x"]), NodeSpec("side", Dense(3), ["flat"]),
+                   NodeSpec("keep", ActivationLayer("linear"), ["x"])]
+    with pytest.raises(GraphError, match="nothing reads 'side'"):
+        build({"x": (6, 1)}, unread_node)
+    with pytest.raises(GraphError, match="nothing reads 'side'"):
+        Subgraph(unread_node).out_shape([(6, 1)])
+    with pytest.raises(GraphError, match="nothing reads 'y'"):
+        build({"x": (6, 1), "y": (6, 1)}, [NodeSpec("keep", ActivationLayer("linear"), ["x"])])
+    with pytest.raises(GraphError, match="at least one node"):
+        build({"x": (6, 1)}, [])
+    with pytest.raises(GraphError, match="at least one node"):
+        Subgraph([]).out_shape([(6, 1)])
 
 
 def test_multi_input_model_and_input_grads():
@@ -384,7 +381,7 @@ def test_multi_input_model_and_input_grads():
     p = b.input("p", (4, 1))
     q = b.input("q", (4, 1))
     b.add("cat", Concat(), [p, q])
-    m = b.build(output="cat")
+    m = b.build()
     xs = {"p": np.ones((2, 4, 1)), "q": np.zeros((2, 4, 1))}
     out = m.forward(xs, train=True)
     assert out.shape == (2, 4, 2)
@@ -415,9 +412,9 @@ def test_introspection_counts():
 # in place.  These pin that no node reads a dropped or overwritten value.
 
 
-def on_copies(m, x, train):
-    """Every node's value, each layer run alone on copies of its inputs."""
-    vals = {"x": x.copy()}
+def on_copies(m, xs, train):
+    """Every value, each layer run alone on copies of its inputs ``xs`` (a dict)."""
+    vals = {k: v.copy() for k, v in xs.items()}
     for name, spec in m.nodes.items():
         ins = [vals[i].copy() for i in spec.inputs]
         vals[name] = spec.layer.forward(ins if spec.layer.n_inputs != 1 else ins[0],
@@ -428,6 +425,7 @@ def on_copies(m, x, train):
 def fanout_model():
     # The input, a Conv1D output and a Dense output each feed two nodes; the
     # first reader of each is an activation that must not write into it.
+    # x_tanh reaches the output through a Flatten.
     b = GraphBuilder()
     x = b.input("x", (8, 2))
     b.add("x_tanh", ActivationLayer("tanh"), x)
@@ -439,7 +437,9 @@ def fanout_model():
     b.add("dense", Dense(4, activation="relu"), "flat")
     b.add("dense_soft", ActivationLayer("softmax"), "dense")
     b.add("dense2", Dense(3, activation="sigmoid"), "dense")
-    return b.build(output=b.add("out", Concat(), ["dense_soft", "dense2"]), seed=4)
+    b.add("x_flat", Flatten(), "x_tanh")
+    b.add("out", Concat(), ["dense_soft", "dense2", "x_flat"])
+    return b.build(seed=4)
 
 
 @pytest.mark.parametrize("train", [False, True])
@@ -448,21 +448,8 @@ def test_fanned_out_values_reach_every_reader_intact(train):
     for layer in ("conv", "dense"):
         m.nodes[layer].layer.params["b"][...] = 0.3  # keep some relu units live
     x = np.random.default_rng(8).normal(size=(3, 8, 2))
-    want = on_copies(m, x, train)["out"]
+    want = on_copies(m, {"x": x}, train)["out"]
     np.testing.assert_array_equal(m.forward(x, train=train).array, want)
-
-
-@pytest.mark.parametrize("train", [False, True])
-def test_output_read_by_later_nodes_is_returned_intact(train):
-    b = GraphBuilder()
-    x = b.input("x", (6,))
-    b.add("mid", Dense(4, activation="tanh"), x)
-    b.add("after", ActivationLayer("sigmoid"), "mid")
-    b.add("last", Dense(2), "after")
-    m = b.build(output="mid", seed=2)
-    xs = np.random.default_rng(9).normal(size=(3, 6))
-    want = on_copies(m, xs, train)["mid"]
-    np.testing.assert_array_equal(m.forward(xs, train=train).array, want)
 
 
 @pytest.mark.parametrize("train", [False, True])
@@ -470,9 +457,10 @@ def test_node_reading_one_value_twice(train):
     b = GraphBuilder()
     x = b.input("x", (8, 2))
     b.add("conv", Conv1D(3, 3, activation="sigmoid"), x)
-    m = b.build(output=b.add("twice", Add(), ["conv", "conv"]), seed=1)
+    b.add("twice", Add(), ["conv", "conv"])
+    m = b.build(seed=1)
     xs = np.random.default_rng(10).normal(size=(2, 8, 2))
-    want = on_copies(m, xs, train)["twice"]
+    want = on_copies(m, {"x": xs}, train)["twice"]
     out = m.forward(xs, train=train).array
     np.testing.assert_array_equal(out, want)
     if train:
@@ -490,6 +478,67 @@ def test_caller_arrays_are_never_modified(train):
     if not train:
         predict(m, x, batch_size=2)
     np.testing.assert_array_equal(x, keep)
+
+
+ACTIVATIONS = ["linear", "relu", "leaky_relu", "sigmoid", "tanh", "softmax"]
+
+
+@st.composite
+def random_dags(draw):
+    """Inputs, a node list of time-keeping layers, and whether a join ends it.
+
+    Nodes read earlier values at random; a final Concat joins every value
+    that nothing reads, so the last node is the only unread one.
+    """
+    time = draw(st.integers(1, 6))
+    shapes = {f"x{i}": (time, draw(st.integers(1, 3))) for i in range(draw(st.integers(1, 2)))}
+    inputs, unread, nodes = dict(shapes), dict.fromkeys(shapes), []
+    for i in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["activation", "add", "concat", "conv", "dense"]))
+        first = draw(st.sampled_from(sorted(shapes)))
+        act = draw(st.sampled_from(ACTIVATIONS))
+        refs, size = [first], st.integers(1, 3)
+        if kind == "activation":
+            layer = ActivationLayer(act)
+        elif kind == "conv":
+            layer = Conv1D(draw(size), draw(size), padding="same", activation=act)
+        elif kind == "dense":
+            layer = Dense(draw(size), activation=act)
+        else:  # a join: Add reads values of one shape, Concat any
+            same = shapes if kind == "concat" else [v for v in shapes if shapes[v] == shapes[first]]
+            refs += draw(st.lists(st.sampled_from(sorted(same)), min_size=1, max_size=2))
+            layer = Add() if kind == "add" else Concat()
+        name = f"n{i}"
+        nodes.append(NodeSpec(name, layer, refs))
+        shapes[name] = layer.out_shape([shapes[r] for r in refs])
+        for r in refs:
+            unread.pop(r, None)
+        unread[name] = None
+    joined = len(unread) > 1
+    if joined:
+        nodes.append(NodeSpec("join", Concat(), list(unread)))
+    return inputs, nodes, joined
+
+
+@settings(max_examples=50, deadline=None)
+@given(dag=random_dags(), seed=st.integers(0, 2**32 - 1))
+def test_random_dags_run_as_their_nodes_do(dag, seed):
+    inputs, nodes, joined = dag
+    m = build(inputs, nodes, seed=seed)
+    rng = np.random.default_rng(seed)
+    xs = {k: rng.normal(size=(3, *s)) for k, s in inputs.items()}
+    for train in (False, True):
+        vals = on_copies(m, xs, train)
+        assert {k: v.shape[1:] for k, v in vals.items()} == m.node_shapes
+        np.testing.assert_array_equal(m.forward(xs, train=train).array, vals[m.output])
+    grads = m.backward(rng.normal(size=vals[m.output].shape))
+    assert {k: g.shape for k, g in grads.items()} == {
+        k: p.shape for k, p in m.parameters().items()}
+    assert {k: g.shape for k, g in m.last_input_grads.items()} == {
+        k: v.shape for k, v in xs.items()}
+    if joined:
+        with pytest.raises(GraphError, match="nothing reads"):
+            build(inputs, nodes[:-1], seed=seed)
 
 
 @functools.lru_cache(maxsize=None)

@@ -264,6 +264,21 @@ def test_one_entry_kernel_is_rejected_at_build():
         build_model("CaiWenjuan", (64, 1), entry_kernels=[3])
 
 
+def test_an_error_no_length_cures_is_raised_after_two_builds(monkeypatch):
+    # the failed build, then one probe at the longest length
+    builds = []
+    assemble = zoo._assemble
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(zoo, "_assemble", counted)
+    with pytest.raises(ShapeError, match="^node 'entry_cat'"):
+        build_model("CaiWenjuan", (1000, 1), entry_kernels=[3])
+    assert len(builds) <= 2
+
+
 def test_bad_input_shape():
     with pytest.raises(ShapeError, match=r"\[time, channels\]"):
         build_model("ExampleModel", (64,))
